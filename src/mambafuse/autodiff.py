@@ -296,7 +296,11 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # stable form: exp is only ever taken of a non-positive argument
-    z = np.exp(-np.abs(x))
+    return _sigmoid_from_z(x, np.exp(-np.abs(x)))
+
+
+def _sigmoid_from_z(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sigmoid(x) given z = exp(-|x|)."""
     return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
@@ -325,9 +329,11 @@ def sqrt(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|})
+    # the derivative, sigmoid(x), shares exp(-|x|) with the value
     x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-    s = _sigmoid_np(x)
+    z = np.exp(-np.abs(x))
+    out = Tensor(np.maximum(x, 0.0) + np.log1p(z))
+    s = _sigmoid_from_z(x, z)
     return _record(out, (a,), lambda gy: (gy * s,))
 
 

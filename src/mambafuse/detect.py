@@ -261,10 +261,13 @@ class LossInputs:
 
 def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
                lambda_cls: float = 0.5, lambda_box: float = 7.5,
-               lambda_dfl: float = 1.5):
+               lambda_dfl: float = 1.5, num_fg: int | None = None):
     """Weighted sum of classification, box and distribution-focal terms.
 
     assignments: per image, per level [H*W] arrays from assign_targets.
+    num_fg: the foreground count every term is normalized by; defaults to
+    this batch's own.  Shards of one batch pass the whole batch's count, so
+    their losses and components sum to the batch's.
     Returns (total scalar Tensor, components dict of floats).
     """
     inputs = LossInputs(preds, cfg)
@@ -341,7 +344,8 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     # normalize the summed one-vs-all BCE by the foreground count, not the
     # anchor*class element count: a handful of positives must not be drowned
     # out by thousands of easy background terms
-    num_fg = sum(int((a >= 0).sum()) for per_img in assignments for a in per_img)
+    if num_fg is None:
+        num_fg = count_foreground(assignments)
     l_cls = ad.mul(cls_sum, Tensor(1.0 / max(num_fg, 1)))
     if box_terms:
         inv_fg = Tensor(1.0 / num_fg)
@@ -356,6 +360,11 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     comps = {"cls": l_cls.item(), "box": l_box.item(), "dfl": l_dfl.item(),
              "total": total.item()}
     return total, comps
+
+
+def count_foreground(assignments) -> int:
+    """Number of assigned anchors over all images and levels."""
+    return sum(int((a >= 0).sum()) for per_img in assignments for a in per_img)
 
 
 def _sum_tensors(ts):
@@ -394,10 +403,11 @@ def decode_boxes(preds_np, cfg: ModelConfig, conf_threshold: float = 0.6,
             probs = e / e.sum(axis=1, keepdims=True)
             dist = (probs * np.arange(R1)[None, :, None]).sum(axis=1) * stride
             centers = anchor_centers(H, W, stride, S) * S
-            x1 = centers[:, 0] - dist[0]
-            y1 = centers[:, 1] - dist[1]
-            x2 = centers[:, 0] + dist[2]
-            y2 = centers[:, 1] + dist[3]
+            # clip to the image, so coordinates stay normalized to [0,1]
+            x1 = np.clip(centers[:, 0] - dist[0], 0, S)
+            y1 = np.clip(centers[:, 1] - dist[1], 0, S)
+            x2 = np.clip(centers[:, 0] + dist[2], 0, S)
+            y2 = np.clip(centers[:, 1] + dist[3], 0, S)
             keep = conf >= conf_threshold
             for ai in np.where(keep)[0]:
                 cx = (x1[ai] + x2[ai]) / 2 / S

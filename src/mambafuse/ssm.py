@@ -26,6 +26,10 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
 
         h_t = exp(delta_t * A) * h_{t-1} + (delta_t * B_t) * u_t
         y_t = sum_n C_t * h_t + D_skip * u_t,   h_0 = 0
+
+    The state is stored time-major as [L,N,B,D]: one time step is one
+    contiguous block, and every elementwise product broadcasts over the
+    B*D inner extent rather than over the short state axis N.
     """
     B, L, D = u.shape
     N = Bc.shape[-1]
@@ -37,42 +41,52 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
     if B % G:
         raise ConfigError(f"batch {B} not divisible into {G} groups")
     rep = B // G
-    A_b = np.repeat(A.data.reshape(G, D, N), rep, axis=0)          # [B,D,N]
-    Dsk_b = np.repeat(D_skip.data.reshape(G, D), rep, axis=0)      # [B,D]
+    A_t = np.repeat(A.data.reshape(G, D, N).transpose(2, 0, 1), rep, axis=1)  # [N,B,D]
+    Dsk_b = np.repeat(D_skip.data.reshape(G, D), rep, axis=0)                # [B,D]
 
-    dA = np.exp(delta.data[..., None] * A_b[:, None])              # [B,L,D,N]
-    dBu = delta.data[..., None] * Bc.data[:, :, None, :] * u.data[..., None]
-    hs = np.empty_like(dA)
-    h = np.zeros((B, D, N), dtype=u.data.dtype)
-    for t in range(L):
-        h = dA[:, t] * h + dBu[:, t]
-        hs[:, t] = h
-    if not np.all(np.isfinite(hs)):
-        bad = np.where(~np.isfinite(hs).all(axis=(0, 2, 3)))[0]
+    def time_major():
+        # delta, delta*u: [L,B,D]; B, C: [L,N,B].  Rebuilt by the backward
+        # instead of being held by it, so a recorded scan keeps only dA, hs.
+        dt = delta.data.transpose(1, 0, 2).copy()
+        du = dt * u.data.transpose(1, 0, 2)
+        return (dt, du, Bc.data.transpose(1, 2, 0).copy(),
+                Cc.data.transpose(1, 2, 0).copy())
+
+    dt, du, Bt, Ct = time_major()
+    dA = np.multiply(dt[:, None], A_t)                                    # [L,N,B,D]
+    np.exp(dA, out=dA)
+    hs = np.multiply(du[:, None], Bt[..., None])                          # dBu, then h
+    tmp = np.empty_like(hs[0])
+    for t in range(1, L):
+        np.multiply(dA[t], hs[t - 1], out=tmp)
+        hs[t] += tmp
+    if not np.isfinite(hs).all():
+        bad = np.where(~np.isfinite(hs.reshape(L, -1)).all(axis=1))[0]
         raise NumericError(f"non-finite scan state at step {int(bad[0])}")
-    y = np.einsum("bldn,bln->bld", hs, Cc.data) + u.data * Dsk_b[:, None]
+    y = np.einsum("lnbd,lnb->bld", hs, Ct) + u.data * Dsk_b[:, None]
     out = Tensor(y)
 
     def bw(gy):
+        dt, du, Bt, Ct = time_major()
+        gt = gy.transpose(1, 0, 2).copy()                                 # [L,B,D]
         gu = gy * Dsk_b[:, None]
         gDsk = np.einsum("bld,bld->bd", gy, u.data)
-        gCc = np.einsum("bld,bldn->bln", gy, hs)
-        ghy = gy[..., None] * Cc.data[:, :, None, :]
-        gh = np.empty_like(hs)
-        carry = np.zeros((B, D, N), dtype=gy.dtype)
-        for t in range(L - 1, -1, -1):
-            ghat = ghy[:, t] + carry
-            gh[:, t] = ghat
-            carry = ghat * dA[:, t]
-        hprev = np.concatenate(
-            [np.zeros((B, 1, D, N), dtype=hs.dtype), hs[:, :-1]], axis=1)
-        gdA = gh * hprev
-        gdelta = np.einsum("bldn,bldn,bdn->bld", gdA, dA, A_b) + \
-            np.einsum("bldn,bln->bld", gh, Bc.data) * u.data
-        gA_b = np.einsum("bldn,bldn,bld->bdn", gdA, dA, delta.data)
-        gBc = np.einsum("bldn,bld->bln", gh, delta.data * u.data)
-        gu = gu + np.einsum("bldn,bln->bld", gh, Bc.data) * delta.data
-        gA = gA_b.reshape(G, rep, D, N).sum(axis=1)
+        gCc = np.einsum("lnbd,lbd->bln", hs, gt)
+        gh = np.multiply(gt[:, None], Ct[..., None])                      # dL/dh_t
+        tmp = np.empty_like(gh[0])
+        for t in range(L - 2, -1, -1):
+            np.multiply(dA[t + 1], gh[t + 1], out=tmp)
+            gh[t] += tmp
+        gBc = np.einsum("lnbd,lbd->bln", gh, du)
+        ghB = np.einsum("lnbd,lnb->bld", gh, Bt)
+        # gh becomes X = gh * h_{t-1} * dA, the gradient of delta_t * A
+        gh[1:] *= hs[:-1]
+        gh[0] = 0.0
+        gh *= dA
+        gdelta = np.einsum("lnbd,nbd->bld", gh, A_t) + ghB * u.data
+        gA_t = np.einsum("lnbd,lbd->nbd", gh, dt)
+        gu += ghB * delta.data
+        gA = gA_t.reshape(N, G, rep, D).sum(axis=2).transpose(1, 2, 0)
         gDsk2 = gDsk.reshape(G, rep, D).sum(axis=1)
         if not grouped:
             gA = gA[0]

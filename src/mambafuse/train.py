@@ -17,7 +17,7 @@ from .autodiff import NumericError, Tape, Tensor
 from .config import ModelConfig, TrainConfig
 from .data import load_dataset
 from .deformable import OffsetConv
-from .detect import assign_targets, total_loss
+from .detect import assign_targets, count_foreground, total_loss
 from .model import Detector, build_detector
 from .nn import Module
 
@@ -173,13 +173,14 @@ def _grid_shapes(cfg: ModelConfig):
 
 
 def compute_batch_loss(model: Detector, rgb, ir, labels, cfg: ModelConfig,
-                       tc: TrainConfig):
+                       tc: TrainConfig, num_fg: int | None = None):
+    """Forward plus loss; ``num_fg`` as in ``total_loss``."""
     preds = model(Tensor(rgb), Tensor(ir))
     grids = [(p[0].shape[2], p[0].shape[3]) for p in preds]
     assignments = [assign_targets(lab, grids, cfg.level_strides, cfg.input_size)
                    for lab in labels]
     return total_loss(preds, assignments, labels, cfg,
-                      tc.lambda_cls, tc.lambda_box, tc.lambda_dfl)
+                      tc.lambda_cls, tc.lambda_box, tc.lambda_dfl, num_fg)
 
 
 def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
@@ -220,27 +221,30 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
 
 def _sharded_loss(model, rgbs, irs, labels, idx, cfg, tc):
     """Opt-in data-parallel forward: shards run on threads with private
-    tapes; backward sweeps happen afterwards in fixed shard order."""
+    tapes; backward sweeps happen afterwards in fixed shard order.  Every
+    shard is normalized by the whole batch's foreground count, so the shard
+    losses sum to the ``threads=1`` loss and their gradients to its gradient."""
     shards = [s for s in np.array_split(idx, tc.threads) if len(s)]
-    n = len(idx)
+    grids = _grid_shapes(cfg)
+    num_fg = count_foreground(
+        [assign_targets(labels[i], grids, cfg.level_strides, cfg.input_size) for i in idx])
     results: list = [None] * len(shards)
 
     def run(si, s):
         with Tape() as tape:
             loss, comps = compute_batch_loss(
-                model, rgbs[s], irs[s], [labels[i] for i in s], cfg, tc)
-            scaled = ad.mul(loss, Tensor(len(s) / n))
-        results[si] = (tape, scaled, comps, len(s))
+                model, rgbs[s], irs[s], [labels[i] for i in s], cfg, tc, num_fg)
+        results[si] = (tape, loss, comps)
 
     threads = [threading.Thread(target=run, args=(si, s)) for si, s in enumerate(shards)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    comps = {k: sum(r[2][k] * r[3] for r in results) / n for k in results[0][2]}
+    comps = {k: sum(r[2][k] for r in results) for k in results[0][2]}
     if not math.isfinite(comps["total"]):
         raise NumericError("non-finite loss in sharded step")
     # fixed shard order keeps the gradient reduction deterministic
-    for tape, scaled, _, _ in results:
-        ad.backward(tape, scaled)
+    for tape, loss, _ in results:
+        ad.backward(tape, loss)
     return Tensor(comps["total"]), comps

@@ -179,6 +179,27 @@ def test_grad_pointwise_unary(name):
         assert err < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_matches_two_exp_formula_bitwise(dtype):
+    # value and derivative share one exp(-|x|); both must round exactly as
+    # the separate formulas do, out to large |x|
+    r = rng(16)
+    x = np.concatenate([r.normal(size=200) * 4, r.normal(size=50) * 60,
+                        [0.0, -0.0, 88.0, -88.0, 700.0, -700.0, 1e30, -1e30]])
+    with precision("f64" if dtype == np.float64 else "f32"):
+        t = Tensor(x.astype(dtype), requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.softplus(t)
+            ad.backward(tape, ad.sum_all(y))
+    xd = x.astype(dtype)
+    with np.errstate(over="ignore"):
+        want_y = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
+        z = np.exp(-np.abs(xd))
+        want_g = np.where(xd >= 0, 1.0, z) / (1.0 + z)
+    np.testing.assert_array_equal(y.data, want_y.astype(dtype))
+    np.testing.assert_array_equal(t.grad, want_g.astype(dtype))
+
+
 def test_grad_binary_and_broadcast():
     with precision("f64"):
         r = rng(7)

@@ -331,6 +331,26 @@ def test_decode_inverts_constructed_prediction():
     assert d.h == pytest.approx(box.h, abs=1e-3)
 
 
+def test_decode_clips_boxes_that_overshoot_the_image():
+    # every anchor confident, every distance at the last bin: the stride-64
+    # level reaches reg_max * 64 px past its centre on all four sides
+    cfg = tiny_config()
+    R1 = cfg.reg_max + 1
+    assert cfg.reg_max * max(STRIDES) > SIZE
+    preds = []
+    for gh, gw in GRIDS:
+        cls = np.full((1, cfg.num_classes, gh, gw), 5.0, dtype=np.float32)
+        dist = np.full((1, 4, R1, gh, gw), -30.0, dtype=np.float32)
+        dist[:, :, cfg.reg_max] = 20.0
+        preds.append((cls, dist.reshape(1, 4 * R1, gh, gw)))
+    dets = decode_boxes(preds, cfg, conf_threshold=0.5, iou_nms=1.0)[0]
+    assert dets
+    for d in dets:
+        assert d.w > 0 and d.h > 0
+        x1, y1, x2, y2 = d.corners()
+        assert min(x1, y1) >= -1e-9 and max(x2, y2) <= 1 + 1e-9
+
+
 def test_decode_respects_confidence_threshold():
     cfg = tiny_config()
     box = DetectionBox(0.75, 0.75, 0.4, 0.4, 1)

@@ -16,14 +16,14 @@ from mambafuse.checkpoint import CheckpointError
 from mambafuse.checks import PROPERTIES, run_checks
 from mambafuse.config import (ModelConfig, TrainConfig, dump_config,
                               parse_config_text, tiny_config)
-from mambafuse.data import (read_labels, read_pgm, read_ppm, render_scene,
+from mambafuse.data import (load_dataset, read_labels, read_pgm, read_ppm, render_scene,
                             synth_dataset, write_labels, write_pgm, write_ppm)
 from mambafuse.deformable import OffsetConv, deformable_conv2d
 from mambafuse.detect import DetectionBox
 from mambafuse.model import build_detector
 from mambafuse.nn import Conv2d, Module, Parameter
-from mambafuse.train import (OFFSET_LR_MULT, SGD, blas_thread_fns, cosine_lr,
-                             train)
+from mambafuse.train import (OFFSET_LR_MULT, SGD, _sharded_loss, blas_thread_fns,
+                             compute_batch_loss, cosine_lr, train)
 from mambafuse.autodiff import ConfigError
 
 
@@ -132,6 +132,40 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "hdr.ckpt").write_bytes(b"bogus\n" + blob)
     with pytest.raises(CheckpointError):
         checkpoint.load(tmp_path / "hdr.ckpt")
+
+
+def _manifest_case(tmp_path, manifest: bytes):
+    # a manifest spliced in front of one tensor's payload, -1.0 x 4 (non-ASCII)
+    p = tmp_path / "c.ckpt"
+    checkpoint.save(p, {"w": -np.ones(4, dtype=np.float32)})
+    payload = p.read_bytes().split(b"\n", 2)[2]
+    p.write_bytes(manifest + payload)
+    return p
+
+
+def test_checkpoint_manifest_shorter_than_count_is_checkpoint_error(tmp_path):
+    p = _manifest_case(tmp_path, b"tensors 2\nw 1 4\n")
+    with pytest.raises(CheckpointError):
+        checkpoint.load(p)
+
+
+def test_checkpoint_non_integer_rank_is_checkpoint_error(tmp_path):
+    p = _manifest_case(tmp_path, b"tensors 1\nw one 4\n")
+    with pytest.raises(CheckpointError):
+        checkpoint.load(p)
+
+
+def test_checkpoint_empty_manifest_line_is_checkpoint_error(tmp_path):
+    p = _manifest_case(tmp_path, b"tensors 1\n\nw 1 4\n")
+    with pytest.raises(CheckpointError):
+        checkpoint.load(p)
+
+
+def test_checkpoint_negative_extent_is_checkpoint_error(tmp_path):
+    # (-2) * (-2) matches the payload's four values
+    p = _manifest_case(tmp_path, b"tensors 1\nw 2 -2 -2\n")
+    with pytest.raises(CheckpointError):
+        checkpoint.load(p)
 
 
 def test_module_state_dict_shape_guard():
@@ -271,6 +305,35 @@ def test_training_is_bit_deterministic(tmp_path):
     lines2, blob2 = _tiny_train(tmp_path, "b")
     assert lines1 == lines2
     assert blob1 == blob2
+
+
+def test_sharded_loss_matches_single_thread_gradient(tmp_path):
+    # threads=2 must train the threads=1 objective: the same logged
+    # components and the same gradient on one batch and the same weights
+    _, rgbs, irs, labels = load_dataset(synth_dataset(4, 4, 64, tmp_path / "data"))
+    cfg = tiny_config(input_size=64)
+    model = build_detector(cfg, seed=0)
+    params = model.parameters()
+    idx = np.arange(4)
+    runs = []
+    for threads in (1, 2):
+        tc = TrainConfig(threads=threads)
+        for p in params:
+            p.grad = None
+        if threads == 1:
+            with ad.Tape() as tape:
+                loss, comps = compute_batch_loss(model, rgbs, irs, labels, cfg, tc)
+                ad.backward(tape, loss)
+        else:
+            _, comps = _sharded_loss(model, rgbs, irs, labels, idx, cfg, tc)
+        grad = np.concatenate([np.zeros(p.data.size) if p.grad is None
+                               else p.grad.astype(np.float64).ravel() for p in params])
+        runs.append((comps, grad))
+    (c1, g1), (c2, g2) = runs
+    assert c1["box"] > 0
+    for k in c1:
+        assert c2[k] == pytest.approx(c1[k], rel=1e-5), k
+    assert np.linalg.norm(g2 - g1) <= 1e-5 * np.linalg.norm(g1)
 
 
 _TRAIN_SCRIPT = """

@@ -58,6 +58,26 @@ def test_scan_matches_stepwise_reference(L):
     assert rel < 1e-5
 
 
+def grouped_scan_operands(r, G, B, L, D, N, dtype=np.float32):
+    u, delta, _, Bc, Cc, _ = random_scan_operands(r, B, L, D, N, dtype)
+    A = -np.exp(r.normal(size=(G, D, N))).astype(dtype)
+    Dsk = r.normal(size=(G, D)).astype(dtype)
+    return u, delta, A, Bc, Cc, Dsk
+
+
+def test_grouped_scan_matches_reference_long_sequence():
+    # L=256 and N=3, so neither the length nor the state size is the
+    # model's; each group of two batch rows has its own A and skip
+    u, delta, A, Bc, Cc, Dsk = grouped_scan_operands(rng(14), 2, 4, 256, 5, 3)
+    y = ssm_scan_core(Tensor(u), Tensor(delta), Tensor(A), Tensor(Bc),
+                      Tensor(Cc), Tensor(Dsk)).data
+    for g in range(2):
+        s = slice(2 * g, 2 * g + 2)
+        ref = scan_reference(u[s], delta[s], A[g], Bc[s], Cc[s], Dsk[g])
+        rel = np.abs(y[s] - ref).max() / np.abs(ref).max()
+        assert rel < 1e-5
+
+
 def test_grouped_scan_matches_separate_calls():
     r = rng(3)
     u, delta, A1, Bc, Cc, D1 = random_scan_operands(r, 4, 5, 3, 2)
@@ -89,7 +109,7 @@ def test_scan_raises_on_nonfinite_state():
     A = np.array([[1.0]], dtype=np.float32)  # positive: growth, overflows
     Bc = np.full((1, 2, 1), 1e30, dtype=np.float32)
     Cc = np.ones((1, 2, 1), dtype=np.float32)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="step 0"):
         with np.errstate(over="ignore", invalid="ignore"):
             ssm_scan_core(Tensor(u), Tensor(delta), Tensor(A), Tensor(Bc),
                           Tensor(Cc), Tensor(np.ones(1, dtype=np.float32)))
@@ -104,6 +124,18 @@ def test_grad_scan_core_finite_difference():
             return ad.sum_all(ad.sigmoid(ssm_scan_core(u, delta, A, Bc, Cc, Dsk)))
 
         assert grad_check(f, ops, h=1e-5) < 1e-6
+
+
+def test_grad_grouped_scan_core_finite_difference():
+    with precision("f64"):
+        ops = [Tensor(o) for o in grouped_scan_operands(rng(15), 2, 4, 6, 3, 2, np.float64)]
+
+        def f(u, delta, A, Bc, Cc, Dsk):
+            return ad.sum_all(ad.sigmoid(ssm_scan_core(u, delta, A, Bc, Cc, Dsk)))
+
+        # h=1e-4: some delta entries are ~3e-5, where h=1e-5 leaves the
+        # central difference with a rounding error of ~1e-5 relative
+        assert grad_check(f, ops, h=1e-4) < 1e-6
 
 
 def test_grad_selective_scan_through_projections():
