@@ -594,9 +594,22 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _shifted(a: np.ndarray, ky: int, kx: int, Ho: int, Wo: int, stride: int) -> np.ndarray:
+    """View of the [..., Ho, Wo] input window that kernel tap (ky, kx) reads."""
+    return a[..., ky:ky + Ho * stride:stride, kx:kx + Wo * stride:stride]
+
+
+def _crop(a: np.ndarray, pad: int) -> np.ndarray:
+    return a[..., pad:-pad, pad:-pad] if pad else a
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding (im2col under the hood)."""
+    """Cross-correlation with zero padding.
+
+    One output channel (the 7x7 attention convs) runs per tap on shifted
+    views of the padded input; wider convs go through im2col.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ConfigError(f"conv2d needs rank-4 input/weight, got {x.shape}/{weight.shape}")
     B, C, H, W = x.data.shape
@@ -612,6 +625,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
             f"conv2d output would be empty for input {x.shape}, kernel {K}, "
             f"stride {stride}, padding {padding}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if Cout == 1:
+        out, bw = _conv2d_one_channel(xp, weight.data, bias, stride, padding, Ho, Wo)
+        return _record(out, parents, bw)
     win = np.lib.stride_tricks.sliding_window_view(xp, (K, K), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # [B,C,Ho,Wo,K,K]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * K * K)
@@ -620,37 +637,100 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     if bias is not None:
         y = y + bias.data.reshape(1, Cout, 1, 1)
     out = Tensor(y)
-    Hp, Wp = H + 2 * padding, W + 2 * padding
 
     def bw(gy):
         gflat = gy.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
         gw = (gflat.T @ cols).reshape(Cout, C, K, K)
-        if Cout == 1:
-            # one output channel makes each column gradient a single product,
-            # so per-tap products give the same bits without ever building the
-            # [B*Ho*Wo, C*K*K] matrix (10x faster for the 7x7 attention convs)
-            w = wmat.reshape(1, C, K, K)
-
-            def tap(ky, kx):
-                return gy * w[:, :, ky, kx].reshape(1, C, 1, 1)
-        else:
-            gcols = (gflat @ wmat).reshape(B, Ho, Wo, C, K, K)
-
-            def tap(ky, kx):
-                return gcols[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
-        gx = np.zeros((B, C, Hp, Wp), dtype=gy.dtype)
+        gcols = (gflat @ wmat).reshape(B, Ho, Wo, C, K, K)
+        gx = np.zeros(xp.shape, dtype=gy.dtype)
         for ky in range(K):
             for kx in range(K):
-                gx[:, :, ky:ky + Ho * stride:stride, kx:kx + Wo * stride:stride] += tap(ky, kx)
-        if padding:
-            gx = gx[:, :, padding:-padding, padding:-padding]
-        gb = gflat.sum(axis=0) if bias is not None else None
+                _shifted(gx, ky, kx, Ho, Wo, stride)[...] += \
+                    gcols[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
+        gx = _crop(gx, padding)
         if bias is not None:
-            return (gx, gw, gb)
+            return (gx, gw, gflat.sum(axis=0))
         return (gx, gw)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
     return _record(out, parents, bw)
+
+
+def _conv2d_one_channel(xp: np.ndarray, w: np.ndarray, bias: Optional[Tensor],
+                        stride: int, padding: int, Ho: int, Wo: int):
+    """Forward value and backward closure of a one-output-channel conv2d.
+
+    Every tap is one multiply-add of a shifted view of the padded input
+    ``xp``, so no [B*Ho*Wo, C*K*K] column matrix is built and the closure
+    holds only ``xp``.
+    """
+    B, C = xp.shape[:2]
+    K = w.shape[-1]
+    taps = [(c, ky, kx) for c in range(C) for ky in range(K) for kx in range(K)]
+    y = np.zeros((B, Ho, Wo), dtype=np.result_type(xp, w))
+    tmp = np.empty_like(y)
+    for c, ky, kx in taps:
+        np.multiply(_shifted(xp[:, c], ky, kx, Ho, Wo, stride), w[0, c, ky, kx], out=tmp)
+        y += tmp
+    if bias is not None:
+        y += bias.data[0]
+    out = Tensor(y.reshape(B, 1, Ho, Wo))
+
+    def bw(gy):
+        g = gy[:, 0]
+        gw = np.empty(w.shape, dtype=gy.dtype)
+        gx = np.zeros(xp.shape, dtype=gy.dtype)
+        tmp = np.empty_like(g)
+        for c, ky, kx in taps:
+            gw[0, c, ky, kx] = np.einsum("bhw,bhw->", g, _shifted(xp[:, c], ky, kx, Ho, Wo, stride))
+            np.multiply(g, w[0, c, ky, kx], out=tmp)
+            _shifted(gx[:, c], ky, kx, Ho, Wo, stride)[...] += tmp
+        gx = _crop(gx, padding)
+        if bias is not None:
+            return (gx, gw, gy.sum(axis=(0, 2, 3)))
+        return (gx, gw)
+
+    return out, bw
+
+
+def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Per-channel 3x3 cross-correlation with one pixel of zero padding.
+
+    x:[B,C,H,W], weight:[C,3,3], bias:[C].  Nine shifted multiply-adds
+    forward and nine shifted adds backward; the closure holds only the
+    padded input.
+    """
+    if x.ndim != 4:
+        raise ConfigError(f"depthwise conv needs a rank-4 input, got {x.shape}")
+    B, C, H, W = x.data.shape
+    if weight.shape != (C, 3, 3) or bias.shape != (C,):
+        raise ConfigError(
+            f"depthwise weight {weight.shape}/bias {bias.shape} do not fit input {x.shape}")
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps = [(ky, kx) for ky in range(3) for kx in range(3)]
+    w = weight.data.reshape(1, C, 3, 3)
+
+    def w_tap(ky, kx):
+        return w[:, :, ky:ky + 1, kx:kx + 1]   # [1,C,1,1]
+
+    y = _shifted(xp, 0, 0, H, W, 1) * w_tap(0, 0)
+    tmp = np.empty_like(y)
+    for ky, kx in taps[1:]:
+        np.multiply(_shifted(xp, ky, kx, H, W, 1), w_tap(ky, kx), out=tmp)
+        y += tmp
+    y += bias.data.reshape(1, C, 1, 1)
+    out = Tensor(y)
+
+    def bw(gy):
+        gx = np.zeros(xp.shape, dtype=gy.dtype)
+        gw = np.empty((C, 3, 3), dtype=gy.dtype)
+        tmp = np.empty_like(gy)
+        for ky, kx in taps:
+            gw[:, ky, kx] = np.einsum("bchw,bchw->c", gy, _shifted(xp, ky, kx, H, W, 1))
+            np.multiply(gy, w_tap(ky, kx), out=tmp)
+            _shifted(gx, ky, kx, H, W, 1)[...] += tmp
+        return (_crop(gx, 1), gw, gy.sum(axis=(0, 2, 3)))
+
+    return _record(out, (x, weight, bias), bw)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
@@ -678,69 +758,52 @@ def grid_sample_taps(x: Tensor, ys: Tensor, xs: Tensor) -> Tensor:
     B, C, H, W = x.data.shape
     if ys.shape != xs.shape or ys.shape[0] != B:
         raise ConfigError(f"coordinate shapes {ys.shape}/{xs.shape} mismatch input {x.shape}")
-    y = ys.data
-    xx = xs.data
+    T, Ho, Wo = ys.shape[1:]
+    y = ys.data.reshape(B, -1)
+    xx = xs.data.reshape(B, -1)
     y0 = np.floor(y)
     x0 = np.floor(xx)
     wy = y - y0
     wx = xx - x0
     y0i = y0.astype(np.int64)
     x0i = x0.astype(np.int64)
+    # flat offset of plane (b, c) in x.reshape(-1)
+    plane = (np.arange(B * C, dtype=np.int64) * (H * W)).reshape(B, C, 1)
+    xflat = x.data.reshape(-1)
 
-    xf = x.data.reshape(B, C, H * W)
-    T, Ho, Wo = y.shape[1], y.shape[2], y.shape[3]
-    bidx = np.arange(B)[:, None]
-
+    out = np.zeros((B, C, y.shape[1]), dtype=x.data.dtype)
     corners = []
     for dy in (0, 1):
         for dx in (0, 1):
             yc = y0i + dy
             xc = x0i + dx
             valid = (yc >= 0) & (yc < H) & (xc >= 0) & (xc < W)
-            pos = (np.clip(yc, 0, H - 1) * W + np.clip(xc, 0, W - 1)).reshape(B, -1)
-            g = xf[bidx, :, pos]                       # [B, T*Ho*Wo, C]
-            g = g.transpose(0, 2, 1).reshape(B, C, T, Ho, Wo)
-            g = g * valid[:, None]
-            wgt = (wy if dy else 1.0 - wy) * (wx if dx else 1.0 - wx)
-            corners.append((g, wgt[:, None], valid, pos))
-    out_data = sum(g * w for g, w, _, _ in corners)
-    out = Tensor(out_data.reshape(B, C * T, Ho, Wo))
+            pos = np.clip(yc, 0, H - 1) * W + np.clip(xc, 0, W - 1)   # [B,P]
+            g = xflat.take(plane + pos[:, None])                       # [B,C,P]
+            # the mask folds into the [B,P] weights: an off-map corner weighs 0
+            wgt = (wy if dy else 1.0 - wy) * (wx if dx else 1.0 - wx) * valid
+            out += g * wgt[:, None]
+            corners.append((dy, dx, valid, pos, g, wgt))
+    out = Tensor(out.reshape(B, C * T, Ho, Wo))
 
     def bw(gy_flat):
-        gy = gy_flat.reshape(B, C, T, Ho, Wo)
+        gy = gy_flat.reshape(B, C, -1)
         gys = np.zeros_like(y)
         gxs = np.zeros_like(xx)
-        idx_parts, wgt_parts = [], []
-        base = (np.arange(B)[:, None] * (H * W)).astype(np.int64)
-        for (g, w, valid, pos), (dy, dx) in zip(corners, ((0, 0), (0, 1), (1, 0), (1, 1))):
-            contrib = (gy * w * valid[:, None]).reshape(B, C, -1).transpose(0, 2, 1)
-            idx3 = ((base + pos) * C)[:, :, None] + np.arange(C)
-            idx_parts.append(idx3.ravel())
-            wgt_parts.append(contrib.ravel())
-            gdot = (gy * g).sum(axis=1)  # d out / d weight, summed over channels
+        gx = np.zeros(B * C * H * W)
+        for dy, dx, valid, pos, g, wgt in corners:
+            gx += np.bincount((plane + pos[:, None]).reshape(-1),
+                              weights=(gy * wgt[:, None]).reshape(-1), minlength=gx.size)
+            # d out / d corner weight, summed over channels
+            gdot = np.einsum("bcp,bcp->bp", gy, g) * valid
             sy = (wx if dx else 1.0 - wx) * (1.0 if dy else -1.0)
             sx = (wy if dy else 1.0 - wy) * (1.0 if dx else -1.0)
             gys += gdot * sy
             gxs += gdot * sx
-        # one fused scatter-accumulate for all four corners
-        gxT = np.bincount(np.concatenate(idx_parts),
-                          weights=np.concatenate(wgt_parts),
-                          minlength=B * H * W * C).reshape(B, H * W, C)
-        gx = gxT.transpose(0, 2, 1).reshape(B, C, H, W).astype(gy.dtype)
-        return (gx, gys, gxs)
+        return (gx.reshape(B, C, H, W).astype(gy.dtype),
+                gys.reshape(ys.shape), gxs.reshape(xs.shape))
 
     return _record(out, (x, ys, xs), bw)
-
-
-def bilinear_sample(plane: Tensor, x: float, y: float) -> Tensor:
-    """Sample a [H,W] plane at column x, row y; returns a scalar tensor."""
-    if plane.ndim != 2:
-        raise ConfigError(f"bilinear_sample needs a [H,W] plane, got {plane.shape}")
-    H, W = plane.shape
-    p4 = reshape(plane, (1, 1, H, W))
-    ys = _as_tensor(np.full((1, 1, 1, 1), y, dtype=plane.data.dtype))
-    xs = _as_tensor(np.full((1, 1, 1, 1), x, dtype=plane.data.dtype))
-    return reshape(grid_sample_taps(p4, ys, xs), ())
 
 
 # ---------------------------------------------------------------------------

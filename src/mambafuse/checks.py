@@ -38,17 +38,35 @@ def check_grad_elementwise():
 
 
 def check_grad_conv2d():
+    # three output channels go through im2col; one (a 7x7 attention conv)
+    # through the per-tap kernel
     with precision("f64"):
         rng = _rng(2)
-        x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        for cout, K in ((3, 3), (1, 7)):
+            x = Tensor(rng.normal(size=(1, 2, 6, 6)))
+            w = Tensor(rng.normal(size=(cout, 2, K, K)))
+            b = Tensor(rng.normal(size=cout))
+            pad = (K - 1) // 2
+
+            def f(xi, wi, bi):
+                return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, stride=1, padding=pad)))
+
+            err = grad_check(f, [x, w, b], h=1e-4)
+            assert err < 1e-5, f"conv2d grad error {err:.2e} (cout {cout}, kernel {K})"
+
+
+def check_grad_depthwise():
+    with precision("f64"):
+        rng = _rng(13)
+        x = Tensor(rng.normal(size=(2, 3, 5, 4)))
+        w = Tensor(rng.normal(size=(3, 3, 3)))
         b = Tensor(rng.normal(size=3))
 
         def f(xi, wi, bi):
-            return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, stride=1, padding=1)))
+            return ad.sum_all(ad.sigmoid(ad.depthwise_conv3x3(xi, wi, bi)))
 
         err = grad_check(f, [x, w, b], h=1e-4)
-        assert err < 1e-5, f"conv2d grad error {err:.2e}"
+        assert err < 1e-5, f"depthwise conv grad error {err:.2e}"
 
 
 def check_grad_selective_scan():
@@ -188,6 +206,7 @@ def check_forward_determinism():
 PROPERTIES = [
     ("grad-elementwise", check_grad_elementwise),
     ("grad-conv2d", check_grad_conv2d),
+    ("grad-depthwise", check_grad_depthwise),
     ("grad-selective-scan", check_grad_selective_scan),
     ("grad-deformable", check_grad_deformable),
     ("scan-oracle", check_scan_oracle),

@@ -157,6 +157,8 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 
 def _read_pnm(path, magic: bytes):
+    """Parse a binary PPM/PGM with maxval 1..255; any malformed header or
+    short pixel block raises IOError."""
     with open(path, "rb") as f:
         blob = f.read()
     fields = []
@@ -165,17 +167,32 @@ def _read_pnm(path, magic: bytes):
         while pos < len(blob) and blob[pos:pos + 1].isspace():
             pos += 1
         if blob[pos:pos + 1] == b"#":
-            pos = blob.index(b"\n", pos) + 1
+            end = blob.find(b"\n", pos)
+            if end < 0:
+                raise IOError(f"{path}: unterminated comment in header")
+            pos = end + 1
             continue
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise IOError(f"{path}: truncated header")
         fields.append(blob[start:pos])
     if fields[0] != magic:
         raise IOError(f"{path}: expected {magic.decode()} file, got {fields[0]!r}")
-    W, H, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    data = np.frombuffer(blob[pos + 1:], dtype=np.uint8, count=W * H * (3 if magic == b"P6" else 1))
-    return W, H, maxval, data
+    if not all(f.isdigit() for f in fields[1:]):
+        raise IOError(f"{path}: header fields {fields[1:]!r} are not all unsigned integers")
+    W, H, maxval = (int(f) for f in fields[1:])
+    if W < 1 or H < 1:
+        raise IOError(f"{path}: image size {W}x{H} is not positive")
+    if not 1 <= maxval <= 255:
+        raise IOError(f"{path}: maxval {maxval} outside 1..255 (8-bit samples only)")
+    count = W * H * (3 if magic == b"P6" else 1)
+    # exactly one whitespace byte separates maxval from the samples
+    pixels = blob[pos + 1:pos + 1 + count]
+    if len(pixels) < count:
+        raise IOError(f"{path}: {len(pixels)} of {count} pixel bytes present")
+    return W, H, maxval, np.frombuffer(pixels, dtype=np.uint8)
 
 
 def read_ppm(path) -> np.ndarray:

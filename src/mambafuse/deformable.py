@@ -95,8 +95,3 @@ class DeformableToken(Module):
                 f"branch shapes disagree: {normal.shape} vs {deform.shape}")
         return ad.add(normal, deform)
 
-
-def deformable_token(x: Tensor, token: DeformableToken, stride: int | None = None) -> Tensor:
-    if stride is not None and token.stride != stride:
-        raise ConfigError(f"token module stride {token.stride} != requested {stride}")
-    return token(x)

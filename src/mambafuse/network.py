@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AlignmentError, ConfigError, Tensor
+from .autodiff import ConfigError, Tensor
 from .attention import (ChannelAttention, SpatialAttention, cross_channel_fuse,
                         cross_enhanced_spatial)
 from .config import ModelConfig

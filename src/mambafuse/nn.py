@@ -141,7 +141,7 @@ class ChannelLayerNorm(Module):
 
 
 class DepthwiseConv3x3(Module):
-    """3x3 depthwise convolution, composed from padded slices."""
+    """3x3 depthwise convolution with zero padding (one tape node per call)."""
 
     def __init__(self, rng, channels: int):
         super().__init__()
@@ -150,14 +150,4 @@ class DepthwiseConv3x3(Module):
         self.bias = Parameter(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.channels:
-            raise ConfigError(f"depthwise conv expects {self.channels} channels, got {x.shape[1]}")
-        B, C, H, W = x.shape
-        xp = ad.pad2d(x, 1)
-        out = None
-        for i in range(3):
-            for j in range(3):
-                tap = ad.mul(xp[:, :, i:i + H, j:j + W],
-                             ad.reshape(self.weight[:, i, j], (1, C, 1, 1)))
-                out = tap if out is None else ad.add(out, tap)
-        return ad.add(out, ad.reshape(self.bias, (1, C, 1, 1)))
+        return ad.depthwise_conv3x3(x, self.weight, self.bias)

@@ -7,6 +7,7 @@ import pytest
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import (ConfigError, Tape, Tensor, UsageError,
                                 grad_check, no_grad, precision)
+from mambafuse.nn import DepthwiseConv3x3
 
 
 def rng(salt=0):
@@ -36,13 +37,25 @@ def naive_conv2d(x, w, b, stride, padding):
     return y
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
-def test_conv2d_matches_naive_loop(stride, padding):
+# ids: stride-padding, then the one-output-channel and no-bias variants
+@pytest.mark.parametrize("stride,padding,cout,bias", [
+    pytest.param(1, 0, 4, True, id="1-0"),
+    pytest.param(1, 1, 4, True, id="1-1"),
+    pytest.param(2, 1, 4, True, id="2-1"),
+    pytest.param(2, 0, 4, True, id="2-0"),
+    pytest.param(1, 3, 1, True, id="1-3-cout1"),
+    pytest.param(2, 1, 1, True, id="2-1-cout1"),
+    pytest.param(2, 0, 1, True, id="2-0-cout1"),
+    pytest.param(1, 1, 1, False, id="1-1-cout1-nobias"),
+    pytest.param(2, 1, 4, False, id="2-1-nobias"),
+])
+def test_conv2d_matches_naive_loop(stride, padding, cout, bias):
     r = rng(1)
     x = r.normal(size=(2, 3, 7, 6)).astype(np.float32)
-    w = r.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    b = r.normal(size=4).astype(np.float32)
-    got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+    w = r.normal(size=(cout, 3, 3, 3)).astype(np.float32)
+    b = r.normal(size=cout).astype(np.float32) if bias else None
+    got = ad.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                    stride, padding).data
     want = naive_conv2d(x, w, b, stride, padding)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
@@ -145,26 +158,105 @@ def test_max_axis_tie_routes_to_first_index():
 # bilinear sampling
 
 
+def sample_plane(plane, x, y):
+    """grid_sample_taps on one [H,W] plane at column x, row y, as a float."""
+    H, W = plane.shape
+    coord = lambda v: Tensor(np.full((1, 1, 1, 1), v))  # noqa: E731
+    return ad.grid_sample_taps(Tensor(plane.reshape(1, 1, H, W)),
+                               coord(y), coord(x)).data.item()
+
+
 def test_bilinear_sample_at_lattice_point_is_exact():
-    plane = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert ad.bilinear_sample(plane, 1.0, 0.0).item() == 2.0
+    plane = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert sample_plane(plane, 1.0, 0.0) == 2.0
 
 
 def test_bilinear_sample_center_of_2x2():
-    plane = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert ad.bilinear_sample(plane, 0.5, 0.5).item() == pytest.approx(2.5)
+    plane = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert sample_plane(plane, 0.5, 0.5) == pytest.approx(2.5)
 
 
 def test_bilinear_sample_out_of_bounds_is_zero():
-    plane = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert ad.bilinear_sample(plane, -2.0, 0.0).item() == 0.0
-    assert ad.bilinear_sample(plane, 0.0, 5.0).item() == 0.0
+    plane = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert sample_plane(plane, -2.0, 0.0) == 0.0
+    assert sample_plane(plane, 0.0, 5.0) == 0.0
 
 
 def test_bilinear_sample_edge_blends_with_zero_outside():
-    plane = Tensor(np.array([[8.0]]))
+    plane = np.array([[8.0]])
     # halfway off a 1x1 plane: 0.5*8 + 0.5*0
-    assert ad.bilinear_sample(plane, 0.5, 0.0).item() == pytest.approx(4.0)
+    assert sample_plane(plane, 0.5, 0.0) == pytest.approx(4.0)
+
+
+def naive_grid_sample(x, ys, xs):
+    """Per point and channel: the four bilinear corners, zero off the map."""
+    B, C, H, W = x.shape
+    _, T, Ho, Wo = ys.shape
+    out = np.zeros((B, C, T, Ho, Wo))
+    for b, t, i, j in np.ndindex(B, T, Ho, Wo):
+        y, xx = float(ys[b, t, i, j]), float(xs[b, t, i, j])
+        y0, x0 = int(np.floor(y)), int(np.floor(xx))
+        for yc, xc in ((y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1)):
+            if 0 <= yc < H and 0 <= xc < W:
+                wgt = (1.0 - abs(y - yc)) * (1.0 - abs(xx - xc))
+                out[b, :, t, i, j] += wgt * x[b, :, yc, xc]
+    return out.reshape(B, C * T, Ho, Wo)
+
+
+def sample_coords(r, shape, H, W):
+    # from -2 to H+1 / W+1, with some exact integers
+    ys = r.uniform(-2.0, H + 1.0, size=shape)
+    xs = r.uniform(-2.0, W + 1.0, size=shape)
+    ys.reshape(-1)[::3] = np.round(ys.reshape(-1)[::3])
+    xs.reshape(-1)[::4] = np.round(xs.reshape(-1)[::4])
+    return ys, xs
+
+
+def test_grid_sample_taps_matches_naive_loop():
+    r = rng(30)
+    x = r.normal(size=(2, 3, 5, 6))
+    ys, xs = sample_coords(r, (2, 4, 3, 3), 5, 6)
+    assert ys.min() < -1.0 and ys.max() > 5.0
+    want = naive_grid_sample(x, ys, xs)
+    with precision("f64"):
+        got = ad.grid_sample_taps(Tensor(x), Tensor(ys), Tensor(xs)).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    got32 = ad.grid_sample_taps(Tensor(x), Tensor(ys), Tensor(xs)).data
+    np.testing.assert_allclose(got32, want, rtol=1e-5, atol=1e-5)
+
+
+def naive_depthwise(x, w, b):
+    B, C, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.zeros(x.shape)
+    for bi, c, i, j in np.ndindex(B, C, H, W):
+        y[bi, c, i, j] = (xp[bi, c, i:i + 3, j:j + 3] * w[c]).sum() + b[c]
+    return y
+
+
+def test_depthwise_conv3x3_matches_naive_loop():
+    r = rng(31)
+    x = r.normal(size=(2, 4, 5, 7)).astype(np.float32)
+    w = r.normal(size=(4, 3, 3)).astype(np.float32)
+    b = r.normal(size=4).astype(np.float32)
+    got = ad.depthwise_conv3x3(Tensor(x), Tensor(w), Tensor(b)).data
+    np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=1e-5, atol=1e-5)
+
+
+def test_depthwise_module_records_one_tape_node():
+    dw = DepthwiseConv3x3(rng(34), 4)
+    x = Tensor(rng(35).normal(size=(2, 4, 5, 5)), requires_grad=True)
+    with Tape() as tape:
+        y = dw(x)
+    assert len(tape) == 1
+    np.testing.assert_allclose(y.data, naive_depthwise(x.data, dw.weight.data, dw.bias.data),
+                               rtol=1e-5, atol=1e-5)
+
+
+def test_depthwise_conv3x3_rejects_mismatched_weight():
+    with pytest.raises(ConfigError):
+        ad.depthwise_conv3x3(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 3))),
+                             Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +356,37 @@ def test_grad_bilinear_coordinates():
             return ad.sum_all(ad.grid_sample_taps(p, y, x))
 
         assert grad_check(f, [plane, ys, xs], h=1e-5) < 1e-6
+
+
+def test_grad_grid_sample_taps_three_channels():
+    with precision("f64"):
+        r = rng(32)
+        x = Tensor(r.normal(size=(2, 3, 4, 5)))
+        ys_np, xs_np = sample_coords(r, (2, 2, 2, 3), 4, 5)
+        # central differences must not straddle a cell edge, so every point
+        # keeps 0.01 from an integer (the loop oracle covers exact integers)
+        ys_np = np.floor(ys_np) + np.clip(ys_np - np.floor(ys_np), 0.01, 0.99)
+        xs_np = np.floor(xs_np) + np.clip(xs_np - np.floor(xs_np), 0.01, 0.99)
+        ys, xs = Tensor(ys_np), Tensor(xs_np)
+        wout = Tensor(r.normal(size=(2, 6, 2, 3)))
+
+        def f(xi, yi, xi2):
+            return ad.sum_all(ad.mul(ad.grid_sample_taps(xi, yi, xi2), wout))
+
+        assert grad_check(f, [x, ys, xs], h=1e-5) < 1e-6
+
+
+def test_grad_depthwise_conv3x3():
+    with precision("f64"):
+        r = rng(33)
+        x = Tensor(r.normal(size=(2, 3, 4, 5)))
+        w = Tensor(r.normal(size=(3, 3, 3)))
+        b = Tensor(r.normal(size=3))
+
+        def f(xi, wi, bi):
+            return ad.sum_all(ad.sigmoid(ad.depthwise_conv3x3(xi, wi, bi)))
+
+        assert grad_check(f, [x, w, b], h=1e-5) < 1e-6
 
 
 def test_grad_softmax_layernorm():

@@ -8,8 +8,7 @@ import pytest
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import ConfigError, Tensor, grad_check, precision
 from mambafuse.deformable import (DeformableToken, OffsetConv,
-                                  deformable_conv2d, deformable_token,
-                                  predict_offsets)
+                                  deformable_conv2d, predict_offsets)
 
 
 def rng(salt=0):
@@ -110,7 +109,7 @@ def test_token_module_sums_both_branches():
     normal = ad.conv2d(x, tok.norm_conv.weight, tok.norm_conv.bias, 2, 1).data
     deform = deformable_conv2d(x, tok.def_conv.weight, tok.def_conv.bias,
                                tok.offsets(x), 2, 1).data
-    np.testing.assert_allclose(deformable_token(x, tok).data, normal + deform,
+    np.testing.assert_allclose(tok(x).data, normal + deform,
                                rtol=1e-5, atol=1e-6)
 
 

@@ -90,6 +90,58 @@ def test_pnm_reader_rejects_wrong_magic(tmp_path):
         read_ppm(tmp_path / "x.pgm")
 
 
+def test_pnm_reader_skips_header_comments(tmp_path):
+    (tmp_path / "c.pgm").write_bytes(b"P5\n# made by hand\n2 1 # width height\n255\n\x00\xff")
+    np.testing.assert_array_equal(read_pgm(tmp_path / "c.pgm"), [[[0.0, 1.0]]])
+
+
+def _read_bad_ppm(tmp_path, blob):
+    (tmp_path / "bad.ppm").write_bytes(blob)
+    with pytest.raises(IOError):
+        read_ppm(tmp_path / "bad.ppm")
+
+
+def test_pnm_reader_rejects_truncated_pixels(tmp_path):
+    _read_bad_ppm(tmp_path, b"P6\n2 2\n255\n" + bytes(11))
+
+
+def test_pnm_reader_rejects_non_integer_width(tmp_path):
+    _read_bad_ppm(tmp_path, b"P6\n2.5 2\n255\n" + bytes(12))
+
+
+def test_pnm_reader_rejects_unterminated_comment(tmp_path):
+    _read_bad_ppm(tmp_path, b"P6\n# a comment without its newline")
+
+
+def test_pnm_reader_rejects_zero_maxval(tmp_path):
+    _read_bad_ppm(tmp_path, b"P6\n2 2\n0\n" + bytes(12))
+
+
+def test_pnm_reader_rejects_sixteen_bit_maxval(tmp_path):
+    _read_bad_ppm(tmp_path, b"P6\n2 2\n65535\n" + bytes(24))
+
+
+def test_pnm_reader_rejects_negative_width(tmp_path):
+    _read_bad_ppm(tmp_path, b"P6\n-2 1\n255\n" + bytes(12))
+
+
+def test_cli_infer_exits_3_on_truncated_ppm(tmp_path, capsys):
+    from mambafuse.cli import main
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(dump_config(tiny_config(), TrainConfig()))
+    ckpt = tmp_path / "m.ckpt"
+    checkpoint.save(ckpt, build_detector(tiny_config(), seed=0).state_dict())
+    rgb, ir, _ = render_scene(0, 0, 128)
+    write_ppm(tmp_path / "x_rgb.ppm", rgb)
+    write_pgm(tmp_path / "x_ir.pgm", ir)
+    blob = (tmp_path / "x_rgb.ppm").read_bytes()
+    (tmp_path / "x_rgb.ppm").write_bytes(blob[:len(blob) // 2])
+    code = main(["infer", "--config", str(cfg), "--ckpt", str(ckpt),
+                 "--rgb", str(tmp_path / "x_rgb.ppm"), "--ir", str(tmp_path / "x_ir.pgm")])
+    assert code == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_labels_round_trip_and_validation(tmp_path):
     labels = [DetectionBox(0.5, 0.5, 0.2, 0.3, 2), DetectionBox(0.1, 0.9, 0.1, 0.1, 0)]
     write_labels(tmp_path / "l.txt", labels)
