@@ -1,8 +1,11 @@
 """Dense-tensor arithmetic with reverse-mode automatic differentiation.
 
-A define-by-run tape: every primitive records its output, parents and a
-backward closure on the currently active ``Tape``.  Arrays are plain numpy,
-float32 by default with a float64 mode for gradient checking.
+A define-by-run tape: inside an open ``Tape`` every primitive records a
+``Node`` that holds its backward closure and a gradient slot, but not its
+output, so an activation that no closure reads is freed as soon as the
+forward pass drops it.  Outside every ``Tape`` (or under ``no_grad``)
+nothing is recorded.  ``backward`` consumes the tape.  Arrays are plain
+numpy, float32 by default with a float64 mode for gradient checking.
 """
 
 from __future__ import annotations
@@ -71,26 +74,38 @@ def precision(mode: str):
 # tape
 
 class Node:
-    __slots__ = ("out", "parents", "fn")
+    """One recorded primitive: its backward closure, the gradient slot of its
+    output, the output's shape and dtype, and one reference per input: the
+    input's node, the input itself if it is a leaf that requires grad, or
+    None for a constant."""
 
-    def __init__(self, out: "Tensor", parents: tuple, fn: Callable):
-        self.out = out
-        self.parents = parents
+    __slots__ = ("fn", "grad", "shape", "dtype", "parents")
+
+    def __init__(self, fn: Callable, shape: tuple, dtype, parents: tuple):
         self.fn = fn
+        self.grad: Optional[np.ndarray] = None
+        self.shape = shape
+        self.dtype = dtype
+        self.parents = parents
 
 
 class Tape:
-    """Ordered record of primitive applications (topological by construction)."""
+    """Ordered record of primitive applications (topological by construction).
+
+    ``backward`` empties every node as it sweeps it and marks the tape
+    consumed; the emptied nodes stay in ``nodes``, so ``len`` still counts
+    what was recorded."""
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _state.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _stack().pop()
+        _state.stack.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -100,25 +115,11 @@ class _TapeState(threading.local):
     # independent tapes may run on separate threads; each thread records
     # to its own stack
     def __init__(self):
-        self.stack = [Tape()]
+        self.stack: list[Tape] = []
         self.grad_enabled = True
 
 
 _state = _TapeState()
-
-
-def _stack() -> list:
-    return _state.stack
-
-
-def current_tape() -> Tape:
-    return _state.stack[-1]
-
-
-def reset_tape() -> Tape:
-    """Replace the implicit base tape (frees recorded graph memory)."""
-    _state.stack[0] = Tape()
-    return _state.stack[0]
 
 
 @contextlib.contextmanager
@@ -135,14 +136,15 @@ def no_grad():
 # tensor
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _dtype)
         if self.data.ndim > 4:
             raise ConfigError(f"rank {self.data.ndim} > 4 not supported")
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
+        self.grad: Optional[np.ndarray] = None   # set on leaves only
+        self.node: Optional[Node] = None         # the node that produced it
 
     @property
     def shape(self):
@@ -201,9 +203,13 @@ def _as_tensor(x) -> Tensor:
 def _record(out: Tensor, parents: Sequence[Tensor], fn: Callable) -> Tensor:
     if _DEBUG_FINITE and not np.all(np.isfinite(out.data)):
         raise NumericError("non-finite value in forward op")
-    if _state.grad_enabled and any(p.requires_grad for p in parents):
+    stack = _state.stack
+    if stack and _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        current_tape().nodes.append(Node(out, tuple(parents), fn))
+        refs = tuple(p.node if p.node is not None else (p if p.requires_grad else None)
+                     for p in parents)
+        out.node = Node(fn, out.data.shape, out.data.dtype, refs)
+        stack[-1].nodes.append(out.node)
     return out
 
 
@@ -218,41 +224,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _accumulate(t: Tensor, g: Optional[np.ndarray]) -> None:
-    if g is None or not t.requires_grad:
-        return
-    g = _unbroadcast(np.asarray(g, dtype=t.data.dtype), t.data.shape)
+def _sum_into(acc: Optional[np.ndarray], g, shape: tuple, dtype) -> np.ndarray:
+    g = _unbroadcast(np.asarray(g, dtype=dtype), shape)
     # accumulation always builds a fresh array, so aliasing g is safe
-    t.grad = g if t.grad is None else t.grad + g
+    return g if acc is None else acc + g
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:
     """Reverse sweep over ``tape`` seeding at scalar ``loss``.
 
-    Populates ``.grad`` on every tensor reached and returns a name->Tensor
-    map for any ``Parameter`` leaves that received a gradient.
+    Intermediate gradients live in node slots; each node's closure, slot
+    and input references are dropped as soon as it is swept, so the tape is
+    consumed.  Leaf gradients accumulate into ``.grad``.  Returns a
+    name->Tensor map for any ``Parameter`` leaves that received a gradient.
     """
     if loss.size != 1:
         raise UsageError(f"loss must be scalar, got shape {loss.shape}")
-    loss.grad = np.ones_like(loss.data)
+    if tape.consumed:
+        raise UsageError("tape was consumed by an earlier backward; "
+                         "record the forward pass on a new Tape")
+    tape.consumed = True
+    root = loss.node
+    if root is not None:
+        root.grad = np.ones(root.shape, dtype=root.dtype)
     seen = False
+    named = {}
     for node in reversed(tape.nodes):
-        if node.out is loss:
+        if node is root:
             seen = True
-        if node.out.grad is None:
+        gy, fn, parents = node.grad, node.fn, node.parents
+        node.grad = node.fn = node.parents = None
+        if gy is None:
             continue
-        grads = node.fn(node.out.grad)
-        for p, g in zip(node.parents, grads):
-            _accumulate(p, g)
+        for ref, g in zip(parents, fn(gy)):
+            if ref is None or g is None:
+                continue
+            if type(ref) is Node:
+                ref.grad = _sum_into(ref.grad, g, ref.shape, ref.dtype)
+            else:
+                ref.grad = _sum_into(ref.grad, g, ref.data.shape, ref.data.dtype)
+                name = getattr(ref, "name", None)
+                if name is not None:
+                    named[name] = ref
     if not seen and loss.requires_grad:
         raise UsageError("loss is not on the given tape")
-    out = {}
-    for node in tape.nodes:
-        for p in node.parents:
-            name = getattr(p, "name", None)
-            if name is not None and p.grad is not None:
-                out[name] = Tensor(p.grad)
-    return out
+    return {name: Tensor(p.grad) for name, p in named.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +654,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         y = y + bias.data.reshape(1, Cout, 1, 1)
     out = Tensor(y)
 
+    xp_shape = xp.shape   # the closure keeps the shape, not the padded input
+
     def bw(gy):
         gflat = gy.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
         gw = (gflat.T @ cols).reshape(Cout, C, K, K)
         gcols = (gflat @ wmat).reshape(B, Ho, Wo, C, K, K)
-        gx = np.zeros(xp.shape, dtype=gy.dtype)
+        gx = np.zeros(xp_shape, dtype=gy.dtype)
         for ky in range(K):
             for kx in range(K):
                 _shifted(gx, ky, kx, Ho, Wo, stride)[...] += \

@@ -1,6 +1,8 @@
 """Tensor core: forward oracles against naive numpy loops, finite-difference
 gradient checks, and tape semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,53 @@ def test_no_grad_records_nothing():
         with no_grad():
             ad.sum_all(ad.mul(x, x))
         assert len(tape) == 0
+
+
+def test_module_call_outside_any_tape_records_nothing():
+    dw = DepthwiseConv3x3(rng(36), 2)
+    out = dw(Tensor(rng(37).normal(size=(1, 2, 4, 4)), requires_grad=True))
+    assert out.node is None and not out.requires_grad
+
+
+def test_second_backward_over_consumed_tape_raises():
+    x = Tensor(np.array([3.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(x, x))
+        ad.backward(tape, loss)
+        with pytest.raises(UsageError, match="consumed"):
+            ad.backward(tape, loss)
+    assert len(tape) == 2   # emptied nodes still count
+    np.testing.assert_allclose(x.grad, [6.0])
+
+
+def test_tape_frees_unread_outputs_and_backward_frees_as_it_sweeps():
+    x = Tensor(np.ones(1 << 20, dtype=np.float32), requires_grad=True)   # 4 MB
+    nbytes = x.data.nbytes
+    one, two = Tensor(1.0), Tensor(2.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            # add, mul, add, mul, ...: mul's closure reads its input (the
+            # preceding add's output), add's closure reads nothing
+            y = x
+            for i in range(10):
+                y = ad.mul(y, two) if i % 2 else ad.add(y, one)
+            loss = ad.sum_all(y)
+            del y
+            after_fwd = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            ad.backward(tape, loss)
+            current, peak = tracemalloc.get_traced_memory()
+        # the 5 add outputs are alive, the 5 mul outputs are not
+        assert after_fwd < 5.5 * nbytes
+        # one gradient slot plus one fresh gradient at a time, not one per node
+        assert peak - base - after_fwd < 3 * nbytes
+        # only x.grad outlives the sweep while the tape is still alive
+        assert current - base < 1.5 * nbytes
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x.grad, np.full(x.shape, 32.0, dtype=np.float32))
 
 
 def test_backward_returns_named_parameter_grads():
