@@ -382,27 +382,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda gy: (gy * mask,))
 
 
-_POINTWISE_UNARY = {"sigmoid": sigmoid, "silu": silu, "exp": exp, "softplus": softplus}
-_POINTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "safe_div": safe_div}
-
-
-def pointwise(op_kind: str, a: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Dispatch by name over the elementwise op set."""
-    if op_kind in _POINTWISE_UNARY:
-        if b is not None:
-            raise UsageError(f"{op_kind} is unary")
-        return _POINTWISE_UNARY[op_kind](a)
-    if op_kind in _POINTWISE_BINARY:
-        if b is None:
-            raise UsageError(f"{op_kind} needs two operands")
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError as e:
-            raise ConfigError(f"non-broadcastable shapes {a.shape} vs {b.shape}") from e
-        return _POINTWISE_BINARY[op_kind](a, b)
-    raise UsageError(f"unknown pointwise op {op_kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # shape primitives
 
@@ -432,6 +411,13 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.split(gy, splits, axis=axis))
 
     return _record(out, tensors, bw)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Join equal-shaped tensors along a new leading axis."""
+    tensors = list(tensors)
+    out = Tensor(np.stack([t.data for t in tensors]))
+    return _record(out, tensors, lambda gy: tuple(gy))
 
 
 def getitem(a: Tensor, idx) -> Tensor:
@@ -561,20 +547,6 @@ def max_pool2d(a: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
         return (g,)
 
     return _record(out, (a,), bw)
-
-
-def reduce(op_kind: str, a: Tensor, **kwargs) -> Tensor:
-    """Dispatch by name over the reduction op set."""
-    table = {
-        "max_channel": max_channel,
-        "mean_channel": mean_channel,
-        "global_avg_pool": global_avg_pool,
-        "max_pool2d": max_pool2d,
-        "sum_all": sum_all,
-    }
-    if op_kind not in table:
-        raise UsageError(f"unknown reduce op {op_kind!r}")
-    return table[op_kind](a, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from .deformable import DeformableToken, deformable_conv2d
 from .detect import SPPFMamba
 from .nn import Parameter
 from .ssm import (DIRECTIONS, FusionMambaBlock, MambaBlock, SsmParams,
-                  flatten_direction, scan_reference, selective_scan,
-                  ssm_scan_core, unflatten_direction)
+                  four_way_reference, four_way_scan, scan_reference, ssm_scan_core)
 
 
 def _rng(salt: int = 0):
@@ -69,19 +68,23 @@ def check_grad_depthwise():
         assert err < 1e-5, f"depthwise conv grad error {err:.2e}"
 
 
-def check_grad_selective_scan():
+def check_grad_four_way_scan():
     with precision("f64"):
         rng = _rng(3)
-        params = SsmParams(rng, d_inner=4, d_state=3)
-        u = Tensor(rng.normal(size=(2, 6, 4)))
-        leaves = [u, params.A_log, params.D_skip, params.x_proj.weight,
-                  params.dt_proj.weight, params.dt_proj.bias]
+        params = [SsmParams(rng, d_inner=3, d_state=2) for _ in DIRECTIONS]
+        for p in params:  # delta of order 1, so no gradient is lost in rounding
+            p.dt_proj.bias.data[:] = rng.normal(size=3)
+        x = Tensor(rng.normal(size=(1, 3, 2, 3)))
+        src = Tensor(rng.normal(size=(1, 3, 2, 3)))
+        leaves = [x, src] + [t for p in params for t in
+                             (p.A_log, p.D_skip, p.x_proj.weight, p.dt_proj.weight,
+                              p.dt_proj.bias)]
 
         def f(*_):
-            return ad.sum_all(selective_scan(u, params))
+            return ad.sum_all(ad.sigmoid(four_way_scan(x, params, src)))
 
         err = grad_check(f, leaves, h=1e-4)
-        assert err < 1e-5, f"selective scan grad error {err:.2e}"
+        assert err < 1e-5, f"four-way scan grad error {err:.2e}"
 
 
 def check_grad_deformable():
@@ -172,12 +175,16 @@ def check_residual_identities():
     assert np.array_equal(sppf(x).data, plain), "pooling block residual identity"
 
 
-def check_direction_inverses():
+def check_four_way_oracle():
     rng = _rng(9)
-    x = Tensor(rng.normal(size=(2, 3, 4, 5)).astype(np.float32))
-    for d in DIRECTIONS:
-        back = unflatten_direction(flatten_direction(x, d), d, 4, 5)
-        assert np.array_equal(back.data, x.data), f"direction {d} not inverted"
+    params = [SsmParams(rng, d_inner=3, d_state=2) for _ in DIRECTIONS]
+    x = rng.normal(size=(2, 3, 3, 4)).astype(np.float32)
+    for src in (None, rng.normal(size=(2, 3, 3, 4)).astype(np.float32)):
+        y = four_way_scan(Tensor(x), params, None if src is None else Tensor(src)).data
+        ref = four_way_reference(x, params, src)
+        rel = np.abs(y - ref).max() / max(np.abs(ref).max(), 1e-8)
+        form = "plain" if src is None else "fusion"
+        assert rel < 1e-5, f"four-way scan ({form}) against the per-direction oracle: {rel:.2e}"
 
 
 def check_checkpoint_roundtrip():
@@ -207,13 +214,13 @@ PROPERTIES = [
     ("grad-elementwise", check_grad_elementwise),
     ("grad-conv2d", check_grad_conv2d),
     ("grad-depthwise", check_grad_depthwise),
-    ("grad-selective-scan", check_grad_selective_scan),
+    ("grad-four-way-scan", check_grad_four_way_scan),
     ("grad-deformable", check_grad_deformable),
     ("scan-oracle", check_scan_oracle),
     ("zero-offset-equivalence", check_zero_offset_equivalence),
     ("cross-channel-fuse-symmetry", check_fuse_symmetry),
     ("residual-identities", check_residual_identities),
-    ("scan-direction-inverses", check_direction_inverses),
+    ("four-way-oracle", check_four_way_oracle),
     ("checkpoint-roundtrip", check_checkpoint_roundtrip),
     ("forward-determinism", check_forward_determinism),
 ]

@@ -28,6 +28,13 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.stage_widths) != 4:
             raise ConfigError("exactly four stage widths are required")
+        sizes = dict(input_size=self.input_size, ffar_stride=self.ffar_stride,
+                     reduction=self.reduction, base_width=self.base_width,
+                     stage_widths=min(self.stage_widths), ssm_state=self.ssm_state,
+                     ssm_expand=self.ssm_expand)
+        for name, value in sizes.items():
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.input_size % (self.ffar_stride * 16):
             raise ConfigError(
                 f"input size {self.input_size} must be divisible by total stride "
@@ -69,7 +76,6 @@ class TrainConfig:
     lambda_cls: float = 0.5
     lambda_box: float = 7.5
     lambda_dfl: float = 1.5
-    mosaic: bool = False
     threads: int = 1
     grad_clip: float = 10.0   # global-norm cap; <= 0 disables clipping
 

@@ -18,42 +18,61 @@ DIRECTIONS = ("row_fwd", "row_bwd", "col_fwd", "col_bwd")
 # scan core
 
 def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
-                  D_skip: Tensor) -> Tensor:
-    """Linear state recurrence along axis 1.
+                  D_skip: Tensor, order: np.ndarray | None = None) -> Tensor:
+    """Linear state recurrences over the tokens of u:[B,L,D].
 
-    u, delta: [B,L,D]; Bc, Cc: [B,L,N]; A: [D,N] or [G,D,N] with the batch
-    split into G contiguous groups; D_skip: [D] or [G,D].
+    Without ``order`` this is one scan along axis 1: delta [B,L,D]; Bc, Cc
+    [B,L,N]; A [D,N]; D_skip [D].  With an integer table ``order`` [G,L]
+    whose rows are permutations of range(L), it is G scans summed: scan g
+    visits token order[g, t] at step t and reads delta [G,B,L,D], Bc, Cc
+    [G,B,L,N], A [G,D,N] and D_skip [G,D] at index g.  Every operand and
+    the output are indexed by token, not by step.
 
         h_t = exp(delta_t * A) * h_{t-1} + (delta_t * B_t) * u_t
         y_t = sum_n C_t * h_t + D_skip * u_t,   h_0 = 0
 
-    The state is stored time-major as [L,N,B,D]: one time step is one
-    contiguous block, and every elementwise product broadcasts over the
-    B*D inner extent rather than over the short state axis N.
+    The state is stored time-major as [L,N,G,B,D]: one step of all G scans
+    is one contiguous block, and every elementwise product broadcasts over
+    the G*B*D inner extent rather than over the short state axis N.  The
+    time-major copies are gathered through the table, so a traversal costs
+    no pass of its own.
     """
     B, L, D = u.shape
-    N = Bc.shape[-1]
-    if delta.shape != (B, L, D) or Cc.shape != (B, L, N):
+    lead = () if order is None else (len(order),)
+    order = np.arange(L)[None] if order is None else np.asarray(order)
+    G, N = len(order), A.shape[-1]
+    if (delta.shape != lead + (B, L, D) or Bc.shape != lead + (B, L, N)
+            or Cc.shape != Bc.shape or A.shape != lead + (D, N)
+            or D_skip.shape != lead + (D,)):
         raise ConfigError(f"scan operand shapes disagree: u {u.shape}, delta "
-                          f"{delta.shape}, B {Bc.shape}, C {Cc.shape}")
-    grouped = A.ndim == 3
-    G = A.shape[0] if grouped else 1
-    if B % G:
-        raise ConfigError(f"batch {B} not divisible into {G} groups")
-    rep = B // G
-    A_t = np.repeat(A.data.reshape(G, D, N).transpose(2, 0, 1), rep, axis=1)  # [N,B,D]
-    Dsk_b = np.repeat(D_skip.data.reshape(G, D), rep, axis=0)                # [B,D]
+                          f"{delta.shape}, A {A.shape}, B {Bc.shape}, C {Cc.shape}, "
+                          f"D {D_skip.shape}")
+    if order.shape != (G, L) or not (np.sort(order, axis=1) == np.arange(L)).all():
+        raise ConfigError(f"scan order rows must be permutations of range({L})")
+    # index pairs over a [L,G,...] array: token-major -> step-major, and back
+    steps = (order.T, np.arange(G))
+    tokens = (np.argsort(order, axis=1).T, np.arange(G))
+    A_t = np.ascontiguousarray(A.data.reshape(G, D, N).transpose(2, 0, 1))  # [N,G,D]
+    Dsk = D_skip.data.reshape(G, D).sum(axis=0)
 
     def time_major():
-        # delta, delta*u: [L,B,D]; B, C: [L,N,B].  Rebuilt by the backward
-        # instead of being held by it, so a recorded scan keeps only dA, hs.
-        dt = delta.data.transpose(1, 0, 2).copy()
-        du = dt * u.data.transpose(1, 0, 2)
-        return (dt, du, Bc.data.transpose(1, 2, 0).copy(),
-                Cc.data.transpose(1, 2, 0).copy())
+        # u, delta, delta*u: [L,G,B,D]; B, C: [L,N,G,B]; all C-contiguous
+        # and in step order.  Rebuilt by the backward instead of being held
+        # by it, so a recorded scan keeps only dA, hs.
+        def gather(x, X):
+            return x.data.reshape(G, B, L, X).transpose(2, 0, 1, 3)[steps]
 
-    dt, du, Bt, Ct = time_major()
-    dA = np.multiply(dt[:, None], A_t)                                    # [L,N,B,D]
+        ut = u.data.transpose(1, 0, 2)[order.T]
+        dt = gather(delta, D)
+        return (ut, dt, dt * ut, np.ascontiguousarray(gather(Bc, N).transpose(0, 3, 1, 2)),
+                np.ascontiguousarray(gather(Cc, N).transpose(0, 3, 1, 2)))
+
+    def by_token(g, like):
+        # [L,G,B,X] in step order -> the operand's [G,B,L,X] layout
+        return g[tokens].transpose(1, 2, 0, 3).reshape(like.shape)
+
+    ut, dt, du, Bt, Ct = time_major()
+    dA = np.multiply(dt[:, None], A_t[:, :, None])                       # [L,N,G,B,D]
     np.exp(dA, out=dA)
     hs = np.multiply(du[:, None], Bt[..., None])                          # dBu, then h
     tmp = np.empty_like(hs[0])
@@ -63,35 +82,30 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
     if not np.isfinite(hs).all():
         bad = np.where(~np.isfinite(hs.reshape(L, -1)).all(axis=1))[0]
         raise NumericError(f"non-finite scan state at step {int(bad[0])}")
-    y = np.einsum("lnbd,lnb->bld", hs, Ct) + u.data * Dsk_b[:, None]
-    out = Tensor(y)
+    ys = np.einsum("lngbd,lngb->lgbd", hs, Ct)[tokens].sum(axis=1)       # [L,B,D]
+    out = Tensor(ys.transpose(1, 0, 2) + u.data * Dsk)
 
     def bw(gy):
-        dt, du, Bt, Ct = time_major()
-        gt = gy.transpose(1, 0, 2).copy()                                 # [L,B,D]
-        gu = gy * Dsk_b[:, None]
-        gDsk = np.einsum("bld,bld->bd", gy, u.data)
-        gCc = np.einsum("lnbd,lbd->bln", hs, gt)
+        ut, dt, du, Bt, Ct = time_major()
+        gt = gy.transpose(1, 0, 2)[order.T]                               # [L,G,B,D]
+        gDsk = np.einsum("bld,bld->d", gy, u.data)
+        gCc = np.einsum("lngbd,lgbd->lgbn", hs, gt)
         gh = np.multiply(gt[:, None], Ct[..., None])                      # dL/dh_t
         tmp = np.empty_like(gh[0])
         for t in range(L - 2, -1, -1):
             np.multiply(dA[t + 1], gh[t + 1], out=tmp)
             gh[t] += tmp
-        gBc = np.einsum("lnbd,lbd->bln", gh, du)
-        ghB = np.einsum("lnbd,lnb->bld", gh, Bt)
+        gBc = np.einsum("lngbd,lgbd->lgbn", gh, du)
+        ghB = np.einsum("lngbd,lngb->lgbd", gh, Bt)
         # gh becomes X = gh * h_{t-1} * dA, the gradient of delta_t * A
         gh[1:] *= hs[:-1]
         gh[0] = 0.0
         gh *= dA
-        gdelta = np.einsum("lnbd,nbd->bld", gh, A_t) + ghB * u.data
-        gA_t = np.einsum("lnbd,lbd->nbd", gh, dt)
-        gu += ghB * delta.data
-        gA = gA_t.reshape(N, G, rep, D).sum(axis=2).transpose(1, 2, 0)
-        gDsk2 = gDsk.reshape(G, rep, D).sum(axis=1)
-        if not grouped:
-            gA = gA[0]
-            gDsk2 = gDsk2[0]
-        return (gu, gdelta, gA, gBc, gCc, gDsk2)
+        gdelta = np.einsum("lngbd,ngd->lgbd", gh, A_t) + ghB * ut
+        gA = np.einsum("lngbd,lgbd->ngbd", gh, dt).sum(axis=2).transpose(1, 2, 0)
+        gu = gy * Dsk + (ghB * dt)[tokens].sum(axis=1).transpose(1, 0, 2)
+        return (gu, by_token(gdelta, delta), gA.reshape(A.shape), by_token(gBc, Bc),
+                by_token(gCc, Cc), np.tile(gDsk, (G, 1)).reshape(D_skip.shape))
 
     return _record(out, (u, delta, A, Bc, Cc, D_skip), bw)
 
@@ -116,6 +130,45 @@ def scan_reference(u, delta, A, Bc, Cc, D_skip):
     return y
 
 
+def projection_reference(params: "SsmParams", src):
+    """(delta, A, B, C, D_skip) of one scan, projected from a [B,L,D] source
+    sequence by ``params`` (float64, plain numpy)."""
+    def f64(t):
+        return np.asarray(t.data, dtype=np.float64)
+
+    r, n = params.dt_rank, params.d_state
+    proj = np.asarray(src, dtype=np.float64) @ f64(params.x_proj.weight).T
+    delta = np.logaddexp(0.0, proj[..., :r] @ f64(params.dt_proj.weight).T
+                         + f64(params.dt_proj.bias))
+    return (delta, -np.exp(f64(params.A_log)), proj[..., r:r + n], proj[..., r + n:],
+            f64(params.D_skip))
+
+
+def four_way_reference(feature, params, src_feature=None):
+    """Per-direction oracle for ``four_way_scan`` (float64, plain numpy):
+    each direction flattens both maps with explicit transposes and flips,
+    projects its source with its own parameters, runs ``scan_reference``
+    and unflattens; the four maps are summed."""
+    x = np.asarray(feature, dtype=np.float64)
+    s = x if src_feature is None else np.asarray(src_feature, dtype=np.float64)
+    B, C, H, W = x.shape
+    out = np.zeros_like(x)
+    for d, p in zip(DIRECTIONS, params):
+        def flatten(m):
+            if d.startswith("col"):
+                m = m.transpose(0, 1, 3, 2)
+            seq = m.reshape(B, C, H * W).transpose(0, 2, 1)
+            return seq[:, ::-1] if d.endswith("bwd") else seq
+
+        y = scan_reference(flatten(x), *projection_reference(p, flatten(s)))
+        if d.endswith("bwd"):
+            y = y[:, ::-1]
+        y = y.transpose(0, 2, 1)
+        out += (y.reshape(B, C, H, W) if d.startswith("row")
+                else y.reshape(B, C, W, H).transpose(0, 1, 3, 2))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -125,7 +178,6 @@ class SsmParams(Module):
 
     def __init__(self, rng, d_inner: int, d_state: int):
         super().__init__()
-        self.d_inner = d_inner
         self.d_state = d_state
         self.dt_rank = max(1, math.ceil(d_inner / 16))
         # negative-real diagonal init: A = -exp(A_log), rows log(1..N)
@@ -138,87 +190,51 @@ class SsmParams(Module):
         dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_inner))
         self.dt_proj.bias.data = np.log(np.expm1(dt)).astype(self.dt_proj.bias.data.dtype)
 
-    def neg_A(self) -> Tensor:
-        return ad.neg(ad.exp(self.A_log))
-
-    def derive(self, src: Tensor):
-        """Compute (delta, B, C) for a scan from source sequence [B,L,D]."""
-        r, n = self.dt_rank, self.d_state
-        proj = self.x_proj(src)
-        dt_seed = proj[:, :, :r]
-        Bc = proj[:, :, r:r + n]
-        Cc = proj[:, :, r + n:r + 2 * n]
-        delta = ad.softplus(self.dt_proj(dt_seed))
-        return delta, Bc, Cc
-
-
-def selective_scan(u: Tensor, params: SsmParams, src: Tensor | None = None) -> Tensor:
-    """Scan u:[B,L,D]; delta/B/C are derived from ``src`` (defaults to u)."""
-    delta, Bc, Cc = params.derive(u if src is None else src)
-    return ssm_scan_core(u, delta, params.neg_A(), Bc, Cc, params.D_skip)
-
 
 # ---------------------------------------------------------------------------
-# 2D flattening
+# four-way scan
 
-def flatten_direction(x: Tensor, direction: str) -> Tensor:
-    """[B,C,H,W] -> [B,L,C] in the given traversal order."""
-    B, C, H, W = x.shape
-    if direction in ("row_fwd", "row_bwd"):
-        seq = ad.transpose(ad.reshape(x, (B, C, H * W)), (0, 2, 1))
-    elif direction in ("col_fwd", "col_bwd"):
-        seq = ad.transpose(ad.reshape(ad.transpose(x, (0, 1, 3, 2)), (B, C, H * W)), (0, 2, 1))
-    else:
-        raise ConfigError(f"unknown scan direction {direction!r}")
-    if direction.endswith("bwd"):
-        seq = ad.flip(seq, axis=1)
-    return seq
-
-
-def unflatten_direction(seq: Tensor, direction: str, H: int, W: int) -> Tensor:
-    """Inverse of flatten_direction, restoring [B,C,H,W]."""
-    B, L, C = seq.shape
-    if L != H * W:
-        raise ConfigError(f"sequence length {L} != {H}x{W}")
-    if direction.endswith("bwd"):
-        seq = ad.flip(seq, axis=1)
-    chw = ad.transpose(seq, (0, 2, 1))
-    if direction.startswith("row"):
-        return ad.reshape(chw, (B, C, H, W))
-    return ad.transpose(ad.reshape(chw, (B, C, W, H)), (0, 1, 3, 2))
+def traversal_orders(H: int, W: int) -> np.ndarray:
+    """[4, H*W] order table: row g lists the row-major token indices in the
+    order that scan DIRECTIONS[g] visits them."""
+    rows = np.arange(H * W)
+    cols = rows.reshape(H, W).T.ravel()
+    return np.stack([rows, rows[::-1], cols, cols[::-1]])
 
 
 def four_way_scan(feature: Tensor, params: list[SsmParams],
                   src_feature: Tensor | None = None) -> Tensor:
     """Scan a [B,C,H,W] map along all four directions and merge by sum.
 
-    With ``src_feature`` given, delta/B/C come from that map's sequences
-    instead (the two-input fusion form); scanned values stay with feature.
+    With ``src_feature`` given, delta/B/C come from that map instead (the
+    two-input fusion form); scanned values stay with feature.  The
+    projections work token by token, so they commute with the traversal:
+    they run once, in row order, over the four parameter sets' weights
+    stacked, and the traversals are the scan core's order table.
     """
     if feature.ndim != 4:
         raise ConfigError(f"four_way_scan needs rank 4, got {feature.shape}")
     if len(params) != 4:
         raise ConfigError(f"need 4 parameter sets, got {len(params)}")
+    if src_feature is not None and src_feature.shape != feature.shape:
+        raise ConfigError(f"source map {src_feature.shape} != feature {feature.shape}")
     B, C, H, W = feature.shape
-    seqs, deltas, bs, cs = [], [], [], []
-    for d, p in zip(DIRECTIONS, params):
-        seq = flatten_direction(feature, d)
-        src = seq if src_feature is None else flatten_direction(src_feature, d)
-        delta, Bc, Cc = p.derive(src)
-        seqs.append(seq)
-        deltas.append(delta)
-        bs.append(Bc)
-        cs.append(Cc)
-    N = params[0].d_state
-    A_g = ad.concat([ad.reshape(p.neg_A(), (1, C, N)) for p in params], axis=0)
-    D_g = ad.concat([ad.reshape(p.D_skip, (1, C)) for p in params], axis=0)
-    y = ssm_scan_core(ad.concat(seqs, axis=0), ad.concat(deltas, axis=0), A_g,
-                      ad.concat(bs, axis=0), ad.concat(cs, axis=0), D_g)
-    out = None
-    for i, d in enumerate(DIRECTIONS):
-        part = unflatten_direction(y[i * B:(i + 1) * B], d, H, W)
-        out = part if out is None else ad.add(out, part)
-    return out
+    L, r, n = H * W, params[0].dt_rank, params[0].d_state
+
+    def tokens(x):  # [B,C,H,W] -> [B,L,C], row-major
+        return ad.transpose(ad.reshape(x, (B, C, L)), (0, 2, 1))
+
+    seq = tokens(feature)
+    src = seq if src_feature is None else tokens(src_feature)
+    proj = ad.linear(src, ad.concat([p.x_proj.weight for p in params], axis=0))
+    proj = ad.transpose(ad.reshape(proj, (B, L, 4, r + 2 * n)), (2, 0, 1, 3))  # [4,B,L,R]
+    w_dt = ad.reshape(ad.stack([p.dt_proj.weight for p in params]), (4, 1, C, r))
+    b_dt = ad.reshape(ad.stack([p.dt_proj.bias for p in params]), (4, 1, 1, C))
+    delta = ad.softplus(ad.add(ad.matmul(proj[..., :r], ad.transpose(w_dt, (0, 1, 3, 2))), b_dt))
+    A = ad.neg(ad.exp(ad.stack([p.A_log for p in params])))
+    y = ssm_scan_core(seq, delta, A, proj[..., r:r + n], proj[..., r + n:],
+                      ad.stack([p.D_skip for p in params]), traversal_orders(H, W))
+    return ad.reshape(ad.transpose(y, (0, 2, 1)), (B, C, H, W))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +250,6 @@ class MambaBlock(Module):
         super().__init__()
         self.channels = channels
         d_inner = channels * expand
-        self.d_inner = d_inner
         self.norm = ChannelLayerNorm(channels)
         self.proj_in = Conv2d(rng, channels, d_inner, 1)
         self.gate = Conv2d(rng, channels, d_inner, 1)
@@ -260,7 +275,6 @@ class FusionMambaBlock(Module):
         super().__init__()
         self.channels = channels
         d_inner = channels * expand
-        self.d_inner = d_inner
         self.norm = ChannelLayerNorm(channels)
         self.aux_norm = ChannelLayerNorm(channels)
         self.proj_in = Conv2d(rng, channels, d_inner, 1)

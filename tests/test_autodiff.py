@@ -106,42 +106,13 @@ def test_upsample_nearest2x_repeats_pixels():
     assert np.array_equal(y[:, :, 1::2, 1::2], x)
 
 
-# ---------------------------------------------------------------------------
-# pointwise / reduce dispatch
-
-
-def test_pointwise_dispatch_matches_direct_call():
-    x = Tensor([[0.5, -1.0]])
-    np.testing.assert_array_equal(ad.pointwise("silu", x).data, ad.silu(x).data)
-    y = Tensor([[2.0, 4.0]])
-    np.testing.assert_array_equal(ad.pointwise("mul", x, y).data, x.data * y.data)
-
-
-def test_pointwise_arity_errors():
-    x = Tensor([1.0])
-    with pytest.raises(UsageError):
-        ad.pointwise("sigmoid", x, x)
-    with pytest.raises(UsageError):
-        ad.pointwise("add", x)
-    with pytest.raises(UsageError):
-        ad.pointwise("frobnicate", x)
-
-
-def test_pointwise_rejects_non_broadcastable():
-    with pytest.raises(ConfigError):
-        ad.pointwise("add", Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
-
-
-def test_reduce_dispatch():
+def test_channel_reductions_match_numpy():
     x = Tensor(rng(5).normal(size=(1, 3, 4, 4)).astype(np.float32))
-    np.testing.assert_array_equal(ad.reduce("max_channel", x).data,
-                                  x.data.max(axis=1, keepdims=True))
-    np.testing.assert_allclose(ad.reduce("mean_channel", x).data,
+    np.testing.assert_array_equal(ad.max_channel(x).data, x.data.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(ad.mean_channel(x).data,
                                x.data.mean(axis=1, keepdims=True), rtol=1e-6)
-    np.testing.assert_allclose(ad.reduce("global_avg_pool", x).data,
+    np.testing.assert_allclose(ad.global_avg_pool(x).data,
                                x.data.mean(axis=(2, 3), keepdims=True), rtol=1e-6)
-    with pytest.raises(UsageError):
-        ad.reduce("median", x)
 
 
 def test_safe_div_by_zero_is_bounded():
@@ -265,11 +236,12 @@ def test_depthwise_conv3x3_rejects_mismatched_weight():
 # gradients by central differences
 
 
-@pytest.mark.parametrize("name", ["sigmoid", "silu", "exp", "softplus"])
-def test_grad_pointwise_unary(name):
+@pytest.mark.parametrize("op", [ad.sigmoid, ad.silu, ad.exp, ad.softplus],
+                         ids=["sigmoid", "silu", "exp", "softplus"])
+def test_grad_pointwise_unary(op):
     with precision("f64"):
         x = Tensor(rng(6).normal(size=(3, 3)))
-        err = grad_check(lambda t: ad.sum_all(ad.pointwise(name, t)), [x], h=1e-5)
+        err = grad_check(lambda t: ad.sum_all(op(t)), [x], h=1e-5)
         assert err < 1e-6
 
 
@@ -418,6 +390,22 @@ def test_grad_concat_getitem_flip():
             c = ad.concat([x, y], axis=1)
             return ad.add(ad.sum_all(ad.mul(ad.flip(c, 1), c)),
                           ad.sum_all(ad.mul(c[:, 1:4], c[:, 1:4])))
+
+        assert grad_check(f, [a, b], h=1e-5) < 1e-6
+
+
+def test_grad_stack():
+    # x appears twice, so its gradient sums two slices of the stacked one
+    with precision("f64"):
+        r = rng(13)
+        a = Tensor(r.normal(size=(2, 3)))
+        b = Tensor(r.normal(size=(2, 3)))
+        np.testing.assert_array_equal(ad.stack([a, b, a]).data,
+                                      np.stack([a.data, b.data, a.data]))
+
+        def f(x, y):
+            s = ad.stack([x, y, x])
+            return ad.sum_all(ad.mul(s, ad.sigmoid(s)))
 
         assert grad_check(f, [a, b], h=1e-5) < 1e-6
 

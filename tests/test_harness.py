@@ -459,6 +459,26 @@ def test_config_parse_errors():
         parse_config_text("warp_drive = 9")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("input_size", 0), ("ffar_stride", 0), ("reduction", 0), ("base_width", 0),
+    ("stage_widths", (16, 0, 32, 48)), ("ssm_state", 0), ("ssm_expand", 0),
+    ("ffar_stride", -4)])
+def test_config_rejects_sizes_below_one(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: value})
+
+
+def test_cli_train_exits_2_on_zero_reduction(tmp_path, capsys):
+    from mambafuse.cli import main
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(dump_config(tiny_config(), TrainConfig()).replace(
+        "reduction = 4", "reduction = 0"))
+    code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--ckpt", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    assert "reduction" in capsys.readouterr().err
+
+
 def test_config_comments_and_blanks_ignored():
     mkw, tkw = parse_config_text("# comment\n\nsteps = 7  # trailing\n")
     assert tkw == {"steps": 7}

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from mambafuse import autodiff as ad
-from mambafuse.autodiff import NumericError, Tensor, grad_check, precision
+from mambafuse.autodiff import ConfigError, NumericError, Tensor, grad_check, precision
 from mambafuse.ssm import (DIRECTIONS, FusionMambaBlock, MambaBlock, SsmParams,
-                           flatten_direction, four_way_scan, scan_reference,
-                           selective_scan, ssm_scan_core, unflatten_direction)
+                           four_way_reference, four_way_scan, projection_reference,
+                           scan_reference, ssm_scan_core, traversal_orders)
 
 
 def rng(salt=0):
@@ -59,39 +59,52 @@ def test_scan_matches_stepwise_reference(L):
 
 
 def grouped_scan_operands(r, G, B, L, D, N, dtype=np.float32):
-    u, delta, _, Bc, Cc, _ = random_scan_operands(r, B, L, D, N, dtype)
+    """Operands of G ordered scans over one u, and a random order table."""
+    u = r.normal(size=(B, L, D)).astype(dtype)
+    delta = np.log1p(np.exp(r.normal(size=(G, B, L, D)))).astype(dtype)
     A = -np.exp(r.normal(size=(G, D, N))).astype(dtype)
+    Bc = r.normal(size=(G, B, L, N)).astype(dtype)
+    Cc = r.normal(size=(G, B, L, N)).astype(dtype)
     Dsk = r.normal(size=(G, D)).astype(dtype)
-    return u, delta, A, Bc, Cc, Dsk
+    order = np.stack([r.permutation(L) for _ in range(G)])
+    return (u, delta, A, Bc, Cc, Dsk), order
 
 
 def test_grouped_scan_matches_reference_long_sequence():
     # L=256 and N=3, so neither the length nor the state size is the
-    # model's; each group of two batch rows has its own A and skip
-    u, delta, A, Bc, Cc, Dsk = grouped_scan_operands(rng(14), 2, 4, 256, 5, 3)
+    # model's; each group scans the tokens in its own random order, and the
+    # oracle scans the permuted sequences, un-permutes and sums
+    (u, delta, A, Bc, Cc, Dsk), order = grouped_scan_operands(rng(14), 2, 2, 256, 5, 3)
     y = ssm_scan_core(Tensor(u), Tensor(delta), Tensor(A), Tensor(Bc),
-                      Tensor(Cc), Tensor(Dsk)).data
-    for g in range(2):
-        s = slice(2 * g, 2 * g + 2)
-        ref = scan_reference(u[s], delta[s], A[g], Bc[s], Cc[s], Dsk[g])
-        rel = np.abs(y[s] - ref).max() / np.abs(ref).max()
-        assert rel < 1e-5
+                      Tensor(Cc), Tensor(Dsk), order).data
+    ref = np.zeros(u.shape)
+    for g, o in enumerate(order):
+        ref[:, o] += scan_reference(u[:, o], delta[g][:, o], A[g], Bc[g][:, o],
+                                    Cc[g][:, o], Dsk[g])
+    assert np.abs(y - ref).max() / np.abs(ref).max() < 1e-5
 
 
 def test_grouped_scan_matches_separate_calls():
-    r = rng(3)
-    u, delta, A1, Bc, Cc, D1 = random_scan_operands(r, 4, 5, 3, 2)
-    A2 = -np.exp(r.normal(size=(3, 2))).astype(np.float32)
-    D2 = r.normal(size=3).astype(np.float32)
-    grouped = ssm_scan_core(
-        Tensor(u), Tensor(delta),
-        Tensor(np.stack([A1, A2])), Tensor(Bc), Tensor(Cc),
-        Tensor(np.stack([D1, D2]))).data
-    for g, (A, Dsk) in enumerate([(A1, D1), (A2, D2)]):
-        s = slice(2 * g, 2 * g + 2)
-        part = ssm_scan_core(Tensor(u[s]), Tensor(delta[s]), Tensor(A),
-                             Tensor(Bc[s]), Tensor(Cc[s]), Tensor(Dsk)).data
-        np.testing.assert_array_equal(grouped[s], part)
+    # the ordered form is the sum of single scans over the permuted tokens
+    (u, delta, A, Bc, Cc, Dsk), order = grouped_scan_operands(rng(3), 3, 2, 6, 3, 2)
+    grouped = ssm_scan_core(Tensor(u), Tensor(delta), Tensor(A), Tensor(Bc),
+                            Tensor(Cc), Tensor(Dsk), order).data
+    want = np.zeros(u.shape, dtype=np.float32)
+    for g, o in enumerate(order):
+        want[:, o] += ssm_scan_core(Tensor(u[:, o]), Tensor(delta[g][:, o]), Tensor(A[g]),
+                                    Tensor(Bc[g][:, o]), Tensor(Cc[g][:, o]),
+                                    Tensor(Dsk[g])).data
+    np.testing.assert_allclose(grouped, want, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("order", [[[0, 1, 1]], [[0, 1]], [[0, 1, 2], [2, 1, 0]]])
+def test_scan_rejects_bad_order_table(order):
+    # a repeated token, a short row, and a table whose row count does not
+    # match the operands' group axis
+    (u, delta, A, Bc, Cc, Dsk), _ = grouped_scan_operands(rng(17), 1, 1, 3, 2, 2)
+    with pytest.raises(ConfigError):
+        ssm_scan_core(Tensor(u), Tensor(delta), Tensor(A), Tensor(Bc), Tensor(Cc),
+                      Tensor(Dsk), np.array(order))
 
 
 def test_scan_state_decays_with_negative_real_A():
@@ -128,26 +141,32 @@ def test_grad_scan_core_finite_difference():
 
 def test_grad_grouped_scan_core_finite_difference():
     with precision("f64"):
-        ops = [Tensor(o) for o in grouped_scan_operands(rng(15), 2, 4, 6, 3, 2, np.float64)]
+        operands, order = grouped_scan_operands(rng(15), 2, 2, 6, 3, 2, np.float64)
 
         def f(u, delta, A, Bc, Cc, Dsk):
-            return ad.sum_all(ad.sigmoid(ssm_scan_core(u, delta, A, Bc, Cc, Dsk)))
+            return ad.sum_all(ad.sigmoid(ssm_scan_core(u, delta, A, Bc, Cc, Dsk, order)))
 
-        # h=1e-4: some delta entries are ~3e-5, where h=1e-5 leaves the
-        # central difference with a rounding error of ~1e-5 relative
-        assert grad_check(f, ops, h=1e-4) < 1e-6
+        assert grad_check(f, [Tensor(o) for o in operands], h=1e-5) < 1e-6
 
 
 def test_grad_selective_scan_through_projections():
+    # the four-way scan, fusion form, through both maps and every leaf of
+    # the four parameter sets
     with precision("f64"):
         r = rng(6)
-        params = SsmParams(r, d_inner=4, d_state=3)
-        u = Tensor(r.normal(size=(1, 5, 4)))
-        leaves = [u, params.A_log, params.D_skip, params.x_proj.weight,
-                  params.dt_proj.weight, params.dt_proj.bias]
+        params = [SsmParams(r, d_inner=4, d_state=3) for _ in DIRECTIONS]
+        # delta of order 1: at the initial delta of 1e-3..1e-1 some A_log
+        # gradients are ~4e-8, below the central difference's rounding error
+        for p in params:
+            p.dt_proj.bias.data[:] = r.normal(size=4)
+        x = Tensor(r.normal(size=(1, 4, 2, 3)))
+        src = Tensor(r.normal(size=(1, 4, 2, 3)))
+        leaves = [x, src] + [t for p in params for t in
+                             (p.A_log, p.D_skip, p.x_proj.weight, p.dt_proj.weight,
+                              p.dt_proj.bias)]
 
         def f(*_):
-            return ad.sum_all(selective_scan(u, params))
+            return ad.sum_all(ad.sigmoid(four_way_scan(x, params, src)))
 
         assert grad_check(f, leaves, h=1e-4) < 1e-6
 
@@ -158,15 +177,23 @@ def test_grad_selective_scan_through_projections():
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_flatten_unflatten_roundtrip(direction):
-    x = Tensor(rng(7).normal(size=(2, 3, 4, 5)).astype(np.float32))
-    back = unflatten_direction(flatten_direction(x, direction), direction, 4, 5)
-    np.testing.assert_array_equal(back.data, x.data)
+    # gathering the row-major tokens through the direction's order is the
+    # explicit flatten (transposes and flips); scattering back restores them
+    x = rng(7).normal(size=(2, 3, 4, 5)).astype(np.float32)
+    order = traversal_orders(4, 5)[DIRECTIONS.index(direction)]
+    m = x if direction.startswith("row") else x.transpose(0, 1, 3, 2)
+    flat = m.reshape(2, 3, 20)
+    if direction.endswith("bwd"):
+        flat = flat[:, :, ::-1]
+    tokens = x.reshape(2, 3, 20)
+    np.testing.assert_array_equal(tokens[:, :, order], flat)
+    back = np.empty_like(tokens)
+    back[:, :, order] = flat
+    np.testing.assert_array_equal(back, tokens)
 
 
 def test_flatten_orders_are_the_four_traversals():
-    x = np.arange(6, dtype=np.float32).reshape(1, 1, 2, 3)
-    got = {d: flatten_direction(Tensor(x), d).data[0, :, 0].tolist()
-           for d in DIRECTIONS}
+    got = dict(zip(DIRECTIONS, traversal_orders(2, 3).tolist()))
     assert got["row_fwd"] == [0, 1, 2, 3, 4, 5]
     assert got["row_bwd"] == [5, 4, 3, 2, 1, 0]
     assert got["col_fwd"] == [0, 3, 1, 4, 2, 5]
@@ -179,9 +206,37 @@ def test_four_way_scan_on_single_site_is_sum_of_single_scans():
     params = [SsmParams(r, d_inner=3, d_state=2) for _ in range(4)]
     x = Tensor(r.normal(size=(2, 3, 1, 1)).astype(np.float32))
     merged = four_way_scan(x, params).data
-    seq = Tensor(x.data.reshape(2, 3, 1).transpose(0, 2, 1))
-    want = sum(selective_scan(seq, p).data for p in params)
+    seq = x.data.reshape(2, 3, 1).transpose(0, 2, 1)
+    want = 0
+    for p in params:
+        delta, A, Bc, Cc, Dsk = (o.astype(np.float32) for o in projection_reference(p, seq))
+        want = want + ssm_scan_core(Tensor(seq), Tensor(delta), Tensor(A), Tensor(Bc),
+                                    Tensor(Cc), Tensor(Dsk)).data
     np.testing.assert_allclose(merged.reshape(2, 1, 3), want, rtol=2e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("fusion", [False, True], ids=["plain", "fusion"])
+def test_four_way_scan_matches_per_direction_reference(fusion):
+    r = rng(16)
+    params = [SsmParams(r, d_inner=4, d_state=3) for _ in DIRECTIONS]
+    x = r.normal(size=(2, 4, 3, 5)).astype(np.float32)
+    src = r.normal(size=(2, 4, 3, 5)).astype(np.float32) if fusion else None
+    y = four_way_scan(Tensor(x), params, None if src is None else Tensor(src)).data
+    ref = four_way_reference(x, params, src)
+    assert np.abs(y - ref).max() / np.abs(ref).max() < 1e-5
+
+
+@pytest.mark.parametrize("fusion,budget", [(False, 25), (True, 27)], ids=["plain", "fusion"])
+def test_four_way_scan_tape_node_budget(fusion, budget):
+    # one fused op: a row-order flatten, the stacked projections, one
+    # ordered scan and one unflatten
+    r = rng(18)
+    params = [SsmParams(r, d_inner=4, d_state=2) for _ in DIRECTIONS]
+    x = Tensor(r.normal(size=(1, 4, 3, 3)), requires_grad=True)
+    src = Tensor(r.normal(size=(1, 4, 3, 3)), requires_grad=True) if fusion else None
+    with ad.Tape() as tape:
+        four_way_scan(x, params, src)
+    assert len(tape) <= budget
 
 
 def test_four_way_scan_mirror_symmetry_on_single_row():
