@@ -3,8 +3,6 @@ and the cross-channel fusion that combines the two modality streams."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import AlignmentError, ConfigError, SAFE_DIV_EPS, Tensor
 from .nn import Conv2d, Linear, Module

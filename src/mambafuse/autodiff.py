@@ -11,10 +11,9 @@ numpy, float32 by default with a float64 mode for gradient checking.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

@@ -12,9 +12,8 @@ from . import autodiff as ad
 from . import checkpoint
 from .attention import cross_channel_fuse
 from .autodiff import Tensor, grad_check, precision
-from .deformable import DeformableToken, deformable_conv2d
+from .deformable import deformable_conv2d
 from .detect import SPPFMamba
-from .nn import Parameter
 from .ssm import (DIRECTIONS, FusionMambaBlock, MambaBlock, SsmParams,
                   four_way_reference, four_way_scan, scan_reference, ssm_scan_core)
 
@@ -178,13 +177,16 @@ def check_residual_identities():
 def check_four_way_oracle():
     rng = _rng(9)
     params = [SsmParams(rng, d_inner=3, d_state=2) for _ in DIRECTIONS]
-    x = rng.normal(size=(2, 3, 3, 4)).astype(np.float32)
-    for src in (None, rng.normal(size=(2, 3, 3, 4)).astype(np.float32)):
-        y = four_way_scan(Tensor(x), params, None if src is None else Tensor(src)).data
-        ref = four_way_reference(x, params, src)
-        rel = np.abs(y - ref).max() / max(np.abs(ref).max(), 1e-8)
-        form = "plain" if src is None else "fusion"
-        assert rel < 1e-5, f"four-way scan ({form}) against the per-direction oracle: {rel:.2e}"
+    # the scan runs in chunks of 2*ceil(sqrt(L)) steps: L = 130 ends in a short one
+    for H, W in ((3, 4), (10, 13)):
+        x = rng.normal(size=(2, 3, H, W)).astype(np.float32)
+        for src in (None, rng.normal(size=(2, 3, H, W)).astype(np.float32)):
+            y = four_way_scan(Tensor(x), params, None if src is None else Tensor(src)).data
+            ref = four_way_reference(x, params, src)
+            rel = np.abs(y - ref).max() / max(np.abs(ref).max(), 1e-8)
+            form = "plain" if src is None else "fusion"
+            assert rel < 1e-5, (f"four-way scan ({form}, {H}x{W}) against the "
+                                f"per-direction oracle: {rel:.2e}")
 
 
 def check_checkpoint_roundtrip():

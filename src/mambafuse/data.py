@@ -9,7 +9,6 @@ objects are visible in only one modality.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np

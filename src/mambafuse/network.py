@@ -3,9 +3,6 @@ pipeline, and the four-stage multiscale stack."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import autodiff as ad
 from .autodiff import ConfigError, Tensor
 from .attention import (ChannelAttention, SpatialAttention, cross_channel_fuse,
                         cross_enhanced_spatial)

@@ -31,11 +31,16 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
         h_t = exp(delta_t * A) * h_{t-1} + (delta_t * B_t) * u_t
         y_t = sum_n C_t * h_t + D_skip * u_t,   h_0 = 0
 
-    The state is stored time-major as [L,N,G,B,D]: one step of all G scans
-    is one contiguous block, and every elementwise product broadcasts over
-    the G*B*D inner extent rather than over the short state axis N.  The
-    time-major copies are gathered through the table, so a traversal costs
-    no pass of its own.
+    The steps run in chunks of k = 2*ceil(sqrt(L)).  A chunk's operands are
+    gathered time-major through the table, so a traversal costs no pass of
+    its own, and its states are stored as [k,N,G,B,D]: one step of all G
+    scans is one contiguous block, and every elementwise product broadcasts
+    over the G*B*D inner extent rather than over the short state axis N.
+    A recorded scan keeps only the state at each chunk's end, [L/k,N,G,B,D];
+    the backward sweeps the chunks in reverse and recomputes each chunk's
+    exp(delta*A) and states from the boundary before it (the recompute of
+    Gu & Dao 2023, arXiv 2312.00752, with the O(sqrt(L)) checkpoints of
+    Chen et al. 2016, arXiv 1604.06174).
     """
     B, L, D = u.shape
     lead = () if order is None else (len(order),)
@@ -49,63 +54,106 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
                           f"D {D_skip.shape}")
     if order.shape != (G, L) or not (np.sort(order, axis=1) == np.arange(L)).all():
         raise ConfigError(f"scan order rows must be permutations of range({L})")
-    # index pairs over a [L,G,...] array: token-major -> step-major, and back
-    steps = (order.T, np.arange(G))
-    tokens = (np.argsort(order, axis=1).T, np.arange(G))
-    A_t = np.ascontiguousarray(A.data.reshape(G, D, N).transpose(2, 0, 1))  # [N,G,D]
+    # 2*ceil(sqrt(L)) rather than ceil(sqrt(L)): level on one thread, and
+    # faster when two shards' scans share the interpreter lock
+    k = max(1, 2 * math.ceil(math.sqrt(L)))
+    steps = np.ascontiguousarray(order.T)                                  # [L,G]
+    chunks = [(t0, steps[t0:t0 + k]) for t0 in range(0, L, k)]
+    group = np.arange(G)
+    A_b = np.ascontiguousarray(np.broadcast_to(                             # [N,G,B,D]
+        A.data.reshape(G, D, N).transpose(2, 0, 1)[:, :, None], (N, G, B, D)))
     Dsk = D_skip.data.reshape(G, D).sum(axis=0)
 
-    def time_major():
-        # u, delta, delta*u: [L,G,B,D]; B, C: [L,N,G,B]; all C-contiguous
-        # and in step order.  Rebuilt by the backward instead of being held
-        # by it, so a recorded scan keeps only dA, hs.
-        def gather(x, X):
-            return x.data.reshape(G, B, L, X).transpose(2, 0, 1, 3)[steps]
+    def by_token(x, X):  # [G,B,L,X] operand -> [L,G,B,X] view, indexed by token
+        return x.reshape(G, B, L, X).transpose(2, 0, 1, 3)
 
-        ut = u.data.transpose(1, 0, 2)[order.T]
-        dt = gather(delta, D)
-        return (ut, dt, dt * ut, np.ascontiguousarray(gather(Bc, N).transpose(0, 3, 1, 2)),
-                np.ascontiguousarray(gather(Cc, N).transpose(0, 3, 1, 2)))
+    u_tok = u.data.transpose(1, 0, 2)
+    delta_tok, B_tok, C_tok = by_token(delta.data, D), by_token(Bc.data, N), by_token(Cc.data, N)
+    tmp = np.empty((N, G, B, D), np.result_type(u.data, delta.data, A.data, Bc.data, Cc.data))
 
-    def by_token(g, like):
-        # [L,G,B,X] in step order -> the operand's [G,B,L,X] layout
-        return g[tokens].transpose(1, 2, 0, 3).reshape(like.shape)
+    def time_major(rows):
+        # one chunk's steps of every scan, gathered through its rows of the
+        # table: u, delta, delta*u [k,G,B,D]; B, C [k,N,G,B]; all C-contiguous
+        at = (rows, group)
+        ut, dt = u_tok[rows], delta_tok[at]
+        return (ut, dt, dt * ut, np.ascontiguousarray(B_tok[at].transpose(0, 3, 1, 2)),
+                np.ascontiguousarray(C_tok[at].transpose(0, 3, 1, 2)))
 
-    ut, dt, du, Bt, Ct = time_major()
-    dA = np.multiply(dt[:, None], A_t[:, :, None])                       # [L,N,G,B,D]
-    np.exp(dA, out=dA)
-    hs = np.multiply(du[:, None], Bt[..., None])                          # dBu, then h
-    tmp = np.empty_like(hs[0])
-    for t in range(1, L):
-        np.multiply(dA[t], hs[t - 1], out=tmp)
-        hs[t] += tmp
-    if not np.isfinite(hs).all():
-        bad = np.where(~np.isfinite(hs.reshape(L, -1)).all(axis=1))[0]
-        raise NumericError(f"non-finite scan state at step {int(bad[0])}")
-    ys = np.einsum("lngbd,lngb->lgbd", hs, Ct)[tokens].sum(axis=1)       # [L,B,D]
-    out = Tensor(ys.transpose(1, 0, 2) + u.data * Dsk)
+    def outer(x, c):
+        # x [k,G,B,D] times c [k,N,G,B] -> [k,N,G,B,D]; filling c along D
+        # first beats broadcasting it over the innermost axis
+        out = np.empty(c.shape + (D,), tmp.dtype)
+        out[...] = c[..., None]
+        return np.multiply(out, x[:, None], out=out)
+
+    def recur(x, h):
+        # h[i+1] += x[i] * h[i] along lists of per-step views
+        for xi, prev, cur in zip(x, h, h[1:]):
+            np.multiply(xi, prev, tmp)
+            np.add(cur, tmp, cur)
+
+    def states(dt, du, Bt, h0):
+        # exp(delta*A) and the states of one chunk, from the state h0 before
+        # it (None at the first chunk); [k,N,G,B,D] each
+        dA = np.multiply(dt[:, None], A_b)
+        np.exp(dA, out=dA)
+        hs = outer(du, Bt)                                                # dBu, then h
+        a, h = list(dA), list(hs)
+        if h0 is None:
+            recur(a[1:], h)
+        else:
+            recur(a, [h0] + h)
+        return dA, hs
+
+    ys = np.empty((L, G, B, D), tmp.dtype)                                  # by token
+    bounds = np.empty((len(chunks), N, G, B, D), tmp.dtype)
+    for c, (t0, rows) in enumerate(chunks):
+        _, dt, du, Bt, Ct = time_major(rows)
+        _, hs = states(dt, du, Bt, bounds[c - 1] if c else None)
+        # a non-finite lane stays non-finite, so the chunk's last state
+        # shows whether any state in it is
+        if not np.isfinite(hs[-1]).all():
+            bad = np.where(~np.isfinite(hs.reshape(len(rows), -1)).all(axis=1))[0]
+            raise NumericError(f"non-finite scan state at step {t0 + int(bad[0])}")
+        bounds[c] = hs[-1]
+        ys[rows, group] = np.einsum("lngbd,lngb->lgbd", hs, Ct)
+    out = Tensor(ys.sum(axis=1).transpose(1, 0, 2) + u.data * Dsk)
 
     def bw(gy):
-        ut, dt, du, Bt, Ct = time_major()
-        gt = gy.transpose(1, 0, 2)[order.T]                               # [L,G,B,D]
+        gy_tok = gy.transpose(1, 0, 2)
         gDsk = np.einsum("bld,bld->d", gy, u.data)
-        gCc = np.einsum("lngbd,lgbd->lgbn", hs, gt)
-        gh = np.multiply(gt[:, None], Ct[..., None])                      # dL/dh_t
-        tmp = np.empty_like(gh[0])
-        for t in range(L - 2, -1, -1):
-            np.multiply(dA[t + 1], gh[t + 1], out=tmp)
-            gh[t] += tmp
-        gBc = np.einsum("lngbd,lgbd->lgbn", gh, du)
-        ghB = np.einsum("lngbd,lngb->lgbd", gh, Bt)
-        # gh becomes X = gh * h_{t-1} * dA, the gradient of delta_t * A
-        gh[1:] *= hs[:-1]
-        gh[0] = 0.0
-        gh *= dA
-        gdelta = np.einsum("lngbd,ngd->lgbd", gh, A_t) + ghB * ut
-        gA = np.einsum("lngbd,lgbd->ngbd", gh, dt).sum(axis=2).transpose(1, 2, 0)
-        gu = gy * Dsk + (ghB * dt)[tokens].sum(axis=1).transpose(1, 0, 2)
-        return (gu, by_token(gdelta, delta), gA.reshape(A.shape), by_token(gBc, Bc),
-                by_token(gCc, Cc), np.tile(gDsk, (G, 1)).reshape(D_skip.shape))
+        gu_tok = np.empty((L, G, B, D), tmp.dtype)
+        gdelta, gBc, gCc = (np.empty(x.shape, tmp.dtype) for x in (delta, Bc, Cc))
+        gd_tok, gB_tok, gC_tok = by_token(gdelta, D), by_token(gBc, N), by_token(gCc, N)
+        gA, carry = 0.0, None
+        for c in range(len(chunks) - 1, -1, -1):
+            rows, h0 = chunks[c][1], bounds[c - 1] if c else None
+            at = (rows, group)
+            ut, dt, du, Bt, Ct = time_major(rows)
+            dA, hs = states(dt, du, Bt, h0)
+            gt = gy_tok[rows]                                             # [k,G,B,D]
+            gC_tok[at] = np.einsum("lngbd,lgbd->lgbn", hs, gt)
+            gh = outer(gt, Ct)                                            # dL/dh_t
+            if carry is not None:                               # from the next chunk
+                np.add(gh[-1], carry, out=gh[-1])
+            recur(list(dA)[:0:-1], list(gh)[::-1])        # gh[t] += dA[t+1] * gh[t+1]
+            carry = dA[0] * gh[0]
+            gB_tok[at] = np.einsum("lngbd,lgbd->lgbn", gh, du)
+            ghB = np.einsum("lngbd,lngb->lgbd", gh, Bt)
+            # gh becomes X = gh * h_{t-1} * dA, the gradient of delta_t * A
+            gh[1:] *= hs[:-1]
+            if h0 is None:
+                gh[0] = 0.0
+            else:
+                gh[0] *= h0
+            gh *= dA
+            gd_tok[at] = np.einsum("lngbd,ngbd->lgbd", gh, A_b) + ghB * ut
+            gA = gA + np.einsum("lngbd,lgbd->ngbd", gh, dt)
+            gu_tok[at] = ghB * dt
+        gA = gA.sum(axis=2).transpose(1, 2, 0)
+        gu = gy * Dsk + gu_tok.sum(axis=1).transpose(1, 0, 2)
+        return (gu, gdelta, gA.reshape(A.shape), gBc, gCc,
+                np.tile(gDsk, (G, 1)).reshape(D_skip.shape))
 
     return _record(out, (u, delta, A, Bc, Cc, D_skip), bw)
 

@@ -7,7 +7,6 @@ import ctypes
 import math
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """Training-harness plumbing: dataset generation and I/O, checkpoints,
 schedules, optimizer mechanics, determinism, and the self-check registry."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mambafuse
 from mambafuse import checkpoint
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import Tensor
@@ -573,3 +575,24 @@ def test_run_checks_flags_failures_without_stopping():
     assert not ok
     assert lines[0].startswith("FAIL boom")
     assert len(lines) == 2
+
+
+def test_source_modules_use_every_import():
+    # a name a module imports but never reads; names in __all__ are re-exports
+    unused = []
+    for path in sorted(Path(mambafuse.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {e.value for n in tree.body if isinstance(n, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+                 for e in n.value.elts}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert not unused, f"unused imports: {unused}"

@@ -1,11 +1,13 @@
 """State-space scan kernels: recurrence oracles, direction handling, and the
 scan blocks' structural identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mambafuse import autodiff as ad
-from mambafuse.autodiff import ConfigError, NumericError, Tensor, grad_check, precision
+from mambafuse.autodiff import ConfigError, NumericError, Tape, Tensor, grad_check, precision
 from mambafuse.ssm import (DIRECTIONS, FusionMambaBlock, MambaBlock, SsmParams,
                            four_way_reference, four_way_scan, projection_reference,
                            scan_reference, ssm_scan_core, traversal_orders)
@@ -47,7 +49,9 @@ def test_zero_output_coupling_reduces_to_skip_path():
     np.testing.assert_allclose(y, u * Dsk, rtol=1e-5, atol=1e-6)
 
 
-@pytest.mark.parametrize("L", [1, 7, 32])
+# the core runs in chunks of 2*ceil(sqrt(L)) steps: 7, 32 and 130 end in a
+# short chunk, and 1 and 2 are one chunk each
+@pytest.mark.parametrize("L", [1, 2, 7, 32, 130])
 def test_scan_matches_stepwise_reference(L):
     r = rng(2)
     u, delta, A, Bc, Cc, Dsk = random_scan_operands(r, 2, L, 6, 4)
@@ -128,6 +132,42 @@ def test_scan_raises_on_nonfinite_state():
                           Tensor(Cc), Tensor(np.ones(1, dtype=np.float32)))
 
 
+def test_scan_error_names_the_global_step():
+    # the first non-finite state falls in the last chunk (steps 120..129 at
+    # L = 130); the message names its step, not its index in the chunk
+    L, token = 130, 123
+    u = np.zeros((1, L, 1), dtype=np.float32)
+    u[0, token] = np.inf
+    ones = np.ones((1, L, 1), dtype=np.float32)
+    operands = (Tensor(u), Tensor(ones), Tensor(-np.ones((1, 1), dtype=np.float32)),
+                Tensor(ones), Tensor(ones), Tensor(np.ones(1, dtype=np.float32)))
+    with pytest.raises(NumericError, match=f"^non-finite scan state at step {token}$"):
+        ssm_scan_core(*operands)
+    # visiting the tokens in reverse puts the same token at step L-1-token
+    order = np.arange(L)[::-1][None]
+    operands = [Tensor(o.data[None]) for o in operands[1:]]
+    with pytest.raises(NumericError, match=f"^non-finite scan state at step {L - 1 - token}$"):
+        ssm_scan_core(Tensor(u), *operands, order)
+
+
+def test_recorded_scan_holds_only_chunk_boundary_states():
+    # the FFAR shape: four traversals of a 32x32 map, batch 8, 16 channels,
+    # 4 states.  Full exp(delta*A) and states would hold 2 x 8 MB until the
+    # backward; the 16 chunk-end states are 128 KB
+    operands, _ = grouped_scan_operands(rng(21), 4, 8, 1024, 16, 4)
+    operands = [Tensor(o, requires_grad=True) for o in operands]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            y = ssm_scan_core(*operands, traversal_orders(32, 32))
+            held = tracemalloc.get_traced_memory()[0] - base - y.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert held < 2 * 2**20
+
+
 def test_grad_scan_core_finite_difference():
     with precision("f64"):
         r = rng(5)
@@ -147,6 +187,23 @@ def test_grad_grouped_scan_core_finite_difference():
             return ad.sum_all(ad.sigmoid(ssm_scan_core(u, delta, A, Bc, Cc, Dsk, order)))
 
         assert grad_check(f, [Tensor(o) for o in operands], h=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("L", [1, 2, 130])
+def test_grad_scan_core_across_chunk_edges(L):
+    # L = 130 runs in chunks of 24 with a short last chunk; a small delta
+    # keeps exp(delta*A) near 1, so states and their adjoints carry across
+    # many chunk boundaries.  At L = 130 some gradients are ~3e-5, where the
+    # central difference's rounding needs h = 1e-4 and a 1e-5 bound
+    with precision("f64"):
+        operands, order = grouped_scan_operands(rng(20), 2, 1, L, 2, 2, np.float64)
+        operands = [Tensor(o) for o in operands]
+        operands[1].data *= 0.05
+
+        def f(u, delta, A, Bc, Cc, Dsk):
+            return ad.sum_all(ad.sigmoid(ssm_scan_core(u, delta, A, Bc, Cc, Dsk, order)))
+
+        assert grad_check(f, operands, h=1e-4) < 1e-5
 
 
 def test_grad_selective_scan_through_projections():
@@ -213,6 +270,19 @@ def test_four_way_scan_on_single_site_is_sum_of_single_scans():
         want = want + ssm_scan_core(Tensor(seq), Tensor(delta), Tensor(A), Tensor(Bc),
                                     Tensor(Cc), Tensor(Dsk)).data
     np.testing.assert_allclose(merged.reshape(2, 1, 3), want, rtol=2e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("H,W", [(1, 1), (1, 2), (10, 13)], ids=["L1", "L2", "L130"])
+def test_four_way_scan_matches_reference_at_chunk_edges(H, W):
+    # L = 130 ends in a short chunk; the initial delta (1e-3..1e-1) keeps
+    # the states alive across chunk boundaries
+    r = rng(19)
+    params = [SsmParams(r, d_inner=3, d_state=2) for _ in DIRECTIONS]
+    x = r.normal(size=(2, 3, H, W)).astype(np.float32)
+    src = r.normal(size=(2, 3, H, W)).astype(np.float32)
+    y = four_way_scan(Tensor(x), params, Tensor(src)).data
+    ref = four_way_reference(x, params, src)
+    assert np.abs(y - ref).max() / np.abs(ref).max() < 1e-5
 
 
 @pytest.mark.parametrize("fusion", [False, True], ids=["plain", "fusion"])
