@@ -7,9 +7,6 @@ from . import autodiff as ad
 from .autodiff import AlignmentError, ConfigError, SAFE_DIV_EPS, Tensor
 from .nn import Conv2d, Linear, Module
 
-MODALITIES = ("rgb", "ir")
-
-
 class SpatialAttention(Module):
     """sigma(conv_kxk(concat(channel-max, channel-mean))) -> [B,1,H,W] in (0,1)."""
 
@@ -41,16 +38,13 @@ def cross_enhanced_spatial(rgb: Tensor, ir: Tensor,
 
 
 class ChannelAttention(Module):
-    """sigma(mlp(pool(x))) -> [B,C,1,1] in (0,1); mlp bottleneck C -> C/r -> C."""
+    """sigma(mlp(avgpool(x))) -> [B,C,1,1] in (0,1); mlp bottleneck C -> C/r -> C."""
 
-    def __init__(self, rng, channels: int, reduction: int = 4, pool: str = "avg"):
+    def __init__(self, rng, channels: int, reduction: int = 4):
         super().__init__()
         if channels % reduction:
             raise ConfigError(f"channels {channels} not divisible by reduction {reduction}")
-        if pool not in ("avg", "max"):
-            raise ConfigError(f"pool must be 'avg' or 'max', got {pool!r}")
         self.channels = channels
-        self.pool = pool
         hidden = channels // reduction
         self.fc1 = Linear(rng, channels, hidden)
         self.fc2 = Linear(rng, hidden, channels)
@@ -59,13 +53,7 @@ class ChannelAttention(Module):
         if x.shape[1] != self.channels:
             raise ConfigError(f"expected {self.channels} channels, got {x.shape[1]}")
         B, C = x.shape[0], x.shape[1]
-        if self.pool == "avg":
-            pooled = ad.global_avg_pool(x)
-        else:
-            pooled = ad.max_axis(ad.reshape(x, (B, C, x.shape[2] * x.shape[3])),
-                                 axis=2, keepdims=True)
-            pooled = ad.reshape(pooled, (B, C, 1, 1))
-        vec = ad.reshape(pooled, (B, C))
+        vec = ad.reshape(ad.global_avg_pool(x), (B, C))
         weights = ad.sigmoid(self.fc2(ad.silu(self.fc1(vec))))
         return ad.reshape(weights, (B, C, 1, 1))
 

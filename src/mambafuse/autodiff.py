@@ -11,15 +11,12 @@ numpy, float32 by default with a float64 mode for gradient checking.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 SAFE_DIV_EPS = 1e-4
-
-_DEBUG_FINITE = bool(os.environ.get("MAMBAFUSE_DEBUG"))
 
 
 class ConfigError(ValueError):
@@ -42,10 +39,6 @@ class NumericError(ArithmeticError):
 # precision mode
 
 _dtype = np.float32
-
-
-def default_dtype():
-    return _dtype
 
 
 def set_default_dtype(dtype) -> None:
@@ -160,12 +153,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -200,8 +187,6 @@ def _as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], fn: Callable) -> Tensor:
-    if _DEBUG_FINITE and not np.all(np.isfinite(out.data)):
-        raise NumericError("non-finite value in forward op")
     stack = _state.stack
     if stack and _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True

@@ -31,8 +31,6 @@ def _configs(args) -> tuple[ModelConfig, TrainConfig]:
         mc, tc = ModelConfig(), TrainConfig()
     if getattr(args, "seed", None) is not None:
         tc.seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        tc.threads = args.threads
     return mc, tc
 
 
@@ -95,16 +93,23 @@ def cmd_eval(args) -> int:
     id_index = {s: i for i, s in enumerate(ids)}
     dets_per_image: list[list[DetectionBox]] = [[] for _ in ids]
     with open(args.dets) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
                 continue
             image_id = parts[0]
             if image_id not in id_index:
                 raise UsageError(f"unknown image id {image_id!r} in detections")
-            b = DetectionBox(float(parts[3]), float(parts[4]), float(parts[5]),
-                             float(parts[6]), int(parts[1]), float(parts[2]))
-            dets_per_image[id_index[image_id]].append(b)
+            if len(parts) != 7:
+                raise IOError(f"{args.dets} line {lineno}: expected 7 fields, "
+                              f"got {len(parts)}")
+            try:
+                cls = int(parts[1])
+                conf, cx, cy, w, h = map(float, parts[2:])
+            except ValueError as e:
+                raise IOError(f"{args.dets} line {lineno}: {e}") from e
+            dets_per_image[id_index[image_id]].append(
+                DetectionBox(cx, cy, w, h, cls, conf))
     aps, mAP = eval_map(dets_per_image, gts, iou_threshold=args.iou)
     for c in sorted(aps):
         print(f"class {c}: AP {aps[c]:.4f}")
@@ -133,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, ckpt=False, config=False, pair=False):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
         if config:
             sp.add_argument("--config", type=str, default=None,
                             help="key=value config file")

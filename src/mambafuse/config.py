@@ -20,7 +20,6 @@ class ModelConfig:
     ssm_expand: int = 2
     attn_kernel: int = 7
     reduction: int = 4
-    channel_pool: str = "avg"                 # 'max' available for ablation
     eps: float = SAFE_DIV_EPS
     num_classes: int = 5
     reg_max: int = 7
@@ -76,6 +75,10 @@ class TrainConfig:
     lambda_cls: float = 0.5
     lambda_box: float = 7.5
     lambda_dfl: float = 1.5
+    # inert: training runs on one thread whatever this says.  Callers still
+    # pass it (threads=1 in the acceptance tests, threads=2 in the
+    # benchmark's train_tiny128_threads2 workload), so it stays until that
+    # workload goes
     threads: int = 1
     grad_clip: float = 10.0   # global-norm cap; <= 0 disables clipping
 
@@ -91,8 +94,6 @@ def _coerce(field_obj, raw: str):
             return int(raw)
         if t == "float":
             return float(raw)
-        if t == "bool":
-            return raw.lower() in ("1", "true", "yes", "on")
         if t == "tuple":
             return tuple(int(x) for x in raw.replace(",", " ").split())
     except ValueError as e:

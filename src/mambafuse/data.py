@@ -216,12 +216,18 @@ def write_labels(path, labels: list[DetectionBox]) -> None:
 def read_labels(path) -> list[DetectionBox]:
     out = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
                 continue
-            b = DetectionBox(float(parts[1]), float(parts[2]), float(parts[3]),
-                             float(parts[4]), int(parts[0]))
+            if len(parts) != 5:
+                raise IOError(f"{path} line {lineno}: expected 5 fields, got {len(parts)}")
+            try:
+                cls = int(parts[0])
+                cx, cy, w, h = map(float, parts[1:])
+            except ValueError as e:
+                raise IOError(f"{path} line {lineno}: {e}") from e
+            b = DetectionBox(cx, cy, w, h, cls)
             b.validate()
             out.append(b)
     return out

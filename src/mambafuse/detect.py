@@ -261,13 +261,11 @@ class LossInputs:
 
 def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
                lambda_cls: float = 0.5, lambda_box: float = 7.5,
-               lambda_dfl: float = 1.5, num_fg: int | None = None):
-    """Weighted sum of classification, box and distribution-focal terms.
+               lambda_dfl: float = 1.5):
+    """Weighted sum of classification, box and distribution-focal terms,
+    each normalized by the batch's count of assigned (foreground) anchors.
 
     assignments: per image, per level [H*W] arrays from assign_targets.
-    num_fg: the foreground count every term is normalized by; defaults to
-    this batch's own.  Shards of one batch pass the whole batch's count, so
-    their losses and components sum to the batch's.
     Returns (total scalar Tensor, components dict of floats).
     """
     inputs = LossInputs(preds, cfg)
@@ -278,6 +276,7 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     bins = np.arange(R1, dtype=np.float64)
 
     cls_sum = None
+    num_fg = 0
     box_terms = []
     dfl_terms = []
     for li, lv in enumerate(inputs.levels):
@@ -298,6 +297,7 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
 
         if not fg_b:
             continue
+        num_fg += len(fg_b)
         fb = np.asarray(fg_b)
         fa = np.asarray(fg_a)
         stride_n = lv["stride"] / S
@@ -344,8 +344,6 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     # normalize the summed one-vs-all BCE by the foreground count, not the
     # anchor*class element count: a handful of positives must not be drowned
     # out by thousands of easy background terms
-    if num_fg is None:
-        num_fg = count_foreground(assignments)
     l_cls = ad.mul(cls_sum, Tensor(1.0 / max(num_fg, 1)))
     if box_terms:
         inv_fg = Tensor(1.0 / num_fg)
@@ -360,11 +358,6 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     comps = {"cls": l_cls.item(), "box": l_box.item(), "dfl": l_dfl.item(),
              "total": total.item()}
     return total, comps
-
-
-def count_foreground(assignments) -> int:
-    """Number of assigned anchors over all images and levels."""
-    return sum(int((a >= 0).sum()) for per_img in assignments for a in per_img)
 
 
 def _sum_tensors(ts):

@@ -38,10 +38,8 @@ class AttentionPack(Module):
         super().__init__()
         self.rgb_spatial = SpatialAttention(rng, cfg.attn_kernel)
         self.ir_spatial = SpatialAttention(rng, cfg.attn_kernel)
-        self.rgb_channel = ChannelAttention(rng, cfg.base_width, cfg.reduction,
-                                            cfg.channel_pool)
-        self.ir_channel = ChannelAttention(rng, cfg.base_width, cfg.reduction,
-                                           cfg.channel_pool)
+        self.rgb_channel = ChannelAttention(rng, cfg.base_width, cfg.reduction)
+        self.ir_channel = ChannelAttention(rng, cfg.base_width, cfg.reduction)
 
 
 class _Pair(Module):

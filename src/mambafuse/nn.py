@@ -54,10 +54,6 @@ class Module:
         for name, p in self.named_parameters(prefix):
             p.name = name
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named_parameters()}
 
@@ -116,11 +112,9 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, rng, din: int, dout: int, bias: bool = True,
-                 zero_init: bool = False):
+    def __init__(self, rng, din: int, dout: int, bias: bool = True):
         super().__init__()
-        w = np.zeros((dout, din)) if zero_init else _kaiming(rng, (dout, din), din)
-        self.weight = Parameter(w)
+        self.weight = Parameter(_kaiming(rng, (dout, din), din))
         self.bias = Parameter(np.zeros(dout)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:

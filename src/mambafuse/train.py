@@ -5,18 +5,17 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-import threading
 import warnings
 
 import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .autodiff import NumericError, Tape, Tensor
+from .autodiff import ConfigError, NumericError, Tape, Tensor
 from .config import ModelConfig, TrainConfig
 from .data import load_dataset
 from .deformable import OffsetConv
-from .detect import assign_targets, count_foreground, total_loss
+from .detect import assign_targets, total_loss
 from .model import Detector, build_detector
 from .nn import Module
 
@@ -167,19 +166,15 @@ def _mini_batches(n: int, batch_size: int):
         pos = (pos + batch_size) % n
 
 
-def _grid_shapes(cfg: ModelConfig):
-    return [(cfg.input_size // s, cfg.input_size // s) for s in cfg.level_strides]
-
-
 def compute_batch_loss(model: Detector, rgb, ir, labels, cfg: ModelConfig,
-                       tc: TrainConfig, num_fg: int | None = None):
-    """Forward plus loss; ``num_fg`` as in ``total_loss``."""
+                       tc: TrainConfig):
+    """Forward plus loss: (total scalar Tensor, components dict)."""
     preds = model(Tensor(rgb), Tensor(ir))
     grids = [(p[0].shape[2], p[0].shape[3]) for p in preds]
     assignments = [assign_targets(lab, grids, cfg.level_strides, cfg.input_size)
                    for lab in labels]
     return total_loss(preds, assignments, labels, cfg,
-                      tc.lambda_cls, tc.lambda_box, tc.lambda_dfl, num_fg)
+                      tc.lambda_cls, tc.lambda_box, tc.lambda_dfl)
 
 
 def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
@@ -190,6 +185,11 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
     ids, rgbs, irs, labels = load_dataset(data_dir)
     if not ids:
         raise IOError(f"dataset at {data_dir} is empty")
+    for image_id, boxes in zip(ids, labels):
+        for b in boxes:
+            if b.class_id >= cfg.num_classes:
+                raise ConfigError(f"image {image_id}: class {b.class_id} is out of "
+                                  f"range for num_classes={cfg.num_classes}")
     if model is None:
         model = build_detector(cfg, seed=tc.seed)
     opt = SGD.for_model(model, tc.momentum, tc.weight_decay)
@@ -200,14 +200,11 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
             lr = cosine_lr(step, tc.steps, tc.lr_initial, tc.lr_final)
             opt.zero_grad()
             with Tape() as tape:
-                if tc.threads > 1:
-                    loss, comps = _sharded_loss(model, rgbs, irs, labels, idx, cfg, tc)
-                else:
-                    loss, comps = compute_batch_loss(
-                        model, rgbs[idx], irs[idx], [labels[i] for i in idx], cfg, tc)
-                    if not math.isfinite(comps["total"]):
-                        raise NumericError(f"non-finite loss at step {step}")
-                    ad.backward(tape, loss)
+                loss, comps = compute_batch_loss(
+                    model, rgbs[idx], irs[idx], [labels[i] for i in idx], cfg, tc)
+                if not math.isfinite(comps["total"]):
+                    raise NumericError(f"non-finite loss at step {step}")
+                ad.backward(tape, loss)
             if tc.grad_clip > 0:
                 opt.clip_grad_norm(tc.grad_clip)
             opt.step(lr)
@@ -217,33 +214,3 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
         checkpoint.save(ckpt_path, model.state_dict())
     return model
 
-
-def _sharded_loss(model, rgbs, irs, labels, idx, cfg, tc):
-    """Opt-in data-parallel forward: shards run on threads with private
-    tapes; backward sweeps happen afterwards in fixed shard order.  Every
-    shard is normalized by the whole batch's foreground count, so the shard
-    losses sum to the ``threads=1`` loss and their gradients to its gradient."""
-    shards = [s for s in np.array_split(idx, tc.threads) if len(s)]
-    grids = _grid_shapes(cfg)
-    num_fg = count_foreground(
-        [assign_targets(labels[i], grids, cfg.level_strides, cfg.input_size) for i in idx])
-    results: list = [None] * len(shards)
-
-    def run(si, s):
-        with Tape() as tape:
-            loss, comps = compute_batch_loss(
-                model, rgbs[s], irs[s], [labels[i] for i in s], cfg, tc, num_fg)
-        results[si] = (tape, loss, comps)
-
-    threads = [threading.Thread(target=run, args=(si, s)) for si, s in enumerate(shards)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    comps = {k: sum(r[2][k] for r in results) for k in results[0][2]}
-    if not math.isfinite(comps["total"]):
-        raise NumericError("non-finite loss in sharded step")
-    # fixed shard order keeps the gradient reduction deterministic
-    for tape, loss, _ in results:
-        ad.backward(tape, loss)
-    return Tensor(comps["total"]), comps

@@ -77,7 +77,7 @@ def test_cross_enhanced_spatial_rejects_misaligned_maps():
 
 def test_channel_attention_is_sigmoid_of_mlp_on_mean():
     r = rng(10)
-    att = ChannelAttention(r, channels=8, reduction=4, pool="avg")
+    att = ChannelAttention(r, channels=8, reduction=4)
     x = Tensor(r.normal(size=(2, 8, 3, 3)).astype(np.float32))
     out = att(x).data
     assert out.shape == (2, 8, 1, 1)
@@ -87,23 +87,9 @@ def test_channel_attention_is_sigmoid_of_mlp_on_mean():
     np.testing.assert_allclose(out.reshape(2, 8), want, rtol=1e-5, atol=1e-6)
 
 
-def test_channel_attention_max_pool_switch():
-    r = rng(11)
-    att = ChannelAttention(r, channels=4, reduction=4, pool="max")
-    x = np.zeros((1, 4, 2, 2), dtype=np.float32)
-    x[0, :, 1, 1] = [5.0, -3.0, 2.0, 0.0]
-    out_max = att(Tensor(x)).data
-    vec = x.max(axis=(2, 3))
-    h = ad.silu(ad.linear(Tensor(vec), att.fc1.weight, att.fc1.bias))
-    want = ad.sigmoid(ad.linear(h, att.fc2.weight, att.fc2.bias)).data
-    np.testing.assert_allclose(out_max.reshape(1, 4), want, rtol=1e-6)
-
-
 def test_channel_attention_validates_config():
     with pytest.raises(ConfigError):
         ChannelAttention(rng(12), channels=6, reduction=4)
-    with pytest.raises(ConfigError):
-        ChannelAttention(rng(13), channels=8, reduction=4, pool="median")
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,18 @@ import pytest
 
 import mambafuse
 from mambafuse import checkpoint
-from mambafuse import autodiff as ad
 from mambafuse.autodiff import Tensor
 from mambafuse.checkpoint import CheckpointError
 from mambafuse.checks import PROPERTIES, run_checks
 from mambafuse.config import (ModelConfig, TrainConfig, dump_config,
                               parse_config_text, tiny_config)
-from mambafuse.data import (load_dataset, read_labels, read_pgm, read_ppm, render_scene,
+from mambafuse.data import (read_labels, read_pgm, read_ppm, render_scene,
                             synth_dataset, write_labels, write_pgm, write_ppm)
 from mambafuse.deformable import OffsetConv, deformable_conv2d
 from mambafuse.detect import DetectionBox
 from mambafuse.model import build_detector
 from mambafuse.nn import Conv2d, Module, Parameter
-from mambafuse.train import (OFFSET_LR_MULT, SGD, _sharded_loss, blas_thread_fns,
-                             compute_batch_loss, cosine_lr, train)
+from mambafuse.train import OFFSET_LR_MULT, SGD, blas_thread_fns, cosine_lr, train
 from mambafuse.autodiff import ConfigError
 
 
@@ -343,12 +341,13 @@ def test_sgd_groups_share_one_global_clip():
 # training determinism
 
 
-def _tiny_train(tmp_path, tag, steps=3):
+def _tiny_train(tmp_path, tag, steps=3, threads=1):
     data = synth_dataset(5, 2, 128, tmp_path / "data") \
         if not (tmp_path / "data" / "index.txt").exists() else tmp_path / "data"
     tc = TrainConfig()
     tc.steps = steps
     tc.batch_size = 2
+    tc.threads = threads
     lines = []
     train(tiny_config(), tc, data, tmp_path / f"{tag}.ckpt", log=lines.append)
     return lines, (tmp_path / f"{tag}.ckpt").read_bytes()
@@ -361,33 +360,12 @@ def test_training_is_bit_deterministic(tmp_path):
     assert blob1 == blob2
 
 
-def test_sharded_loss_matches_single_thread_gradient(tmp_path):
-    # threads=2 must train the threads=1 objective: the same logged
-    # components and the same gradient on one batch and the same weights
-    _, rgbs, irs, labels = load_dataset(synth_dataset(4, 4, 64, tmp_path / "data"))
-    cfg = tiny_config(input_size=64)
-    model = build_detector(cfg, seed=0)
-    params = model.parameters()
-    idx = np.arange(4)
-    runs = []
-    for threads in (1, 2):
-        tc = TrainConfig(threads=threads)
-        for p in params:
-            p.grad = None
-        if threads == 1:
-            with ad.Tape() as tape:
-                loss, comps = compute_batch_loss(model, rgbs, irs, labels, cfg, tc)
-                ad.backward(tape, loss)
-        else:
-            _, comps = _sharded_loss(model, rgbs, irs, labels, idx, cfg, tc)
-        grad = np.concatenate([np.zeros(p.data.size) if p.grad is None
-                               else p.grad.astype(np.float64).ravel() for p in params])
-        runs.append((comps, grad))
-    (c1, g1), (c2, g2) = runs
-    assert c1["box"] > 0
-    for k in c1:
-        assert c2[k] == pytest.approx(c1[k], rel=1e-5), k
-    assert np.linalg.norm(g2 - g1) <= 1e-5 * np.linalg.norm(g1)
+def test_threads_field_does_not_change_training(tmp_path):
+    # training has one path: threads=2 logs and saves the threads=1 bytes
+    lines1, blob1 = _tiny_train(tmp_path, "t1", threads=1)
+    lines2, blob2 = _tiny_train(tmp_path, "t2", threads=2)
+    assert lines1 == lines2
+    assert blob1 == blob2
 
 
 _TRAIN_SCRIPT = """
@@ -479,6 +457,57 @@ def test_cli_train_exits_2_on_zero_reduction(tmp_path, capsys):
                  "--ckpt", str(tmp_path / "m.ckpt")])
     assert code == 2
     assert "reduction" in capsys.readouterr().err
+
+
+def test_cli_train_exits_2_on_class_id_beyond_num_classes(tmp_path, capsys):
+    from mambafuse.cli import main
+    data = synth_dataset(0, 2, 64, tmp_path / "data")
+    (data / "scene_000_labels.txt").write_text("1 0.5 0.5 0.2 0.2\n")
+    (data / "scene_001_labels.txt").write_text("1 0.5 0.5 0.2 0.2\n4 0.2 0.2 0.2 0.2\n")
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(dump_config(tiny_config(input_size=64, num_classes=2), TrainConfig()))
+    code = main(["train", "--config", str(cfg), "--data", str(data),
+                 "--ckpt", str(tmp_path / "m.ckpt"), "--steps", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scene_001" in err and "class 4" in err and "num_classes=2" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_train_rejects_threads_flag(tmp_path):
+    from mambafuse.cli import main
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--threads", "2", "--data", str(tmp_path),
+              "--ckpt", str(tmp_path / "m.ckpt")])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["1 0.5 0.5 0.2", "1 0.5 0.5 0.2 0.2 0.9",
+                                  "x 0.5 0.5 0.2 0.2", "1 0.5 half 0.2 0.2"])
+def test_cli_eval_exits_3_on_unparsable_label_line(tmp_path, capsys, line):
+    from mambafuse.cli import main
+    data = synth_dataset(0, 1, 64, tmp_path / "data")
+    (data / "scene_000_labels.txt").write_text(f"2 0.5 0.5 0.2 0.2\n{line}\n")
+    dets = tmp_path / "dets.txt"
+    dets.write_text("")
+    code = main(["eval", "--dets", str(dets), "--data", str(data)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "scene_000_labels.txt line 2" in err
+
+
+@pytest.mark.parametrize("line,code", [
+    ("scene_000 1 0.9 0.5 0.5 0.2", 3), ("scene_000 1 0.9 0.5 0.5 0.2 0.2 7", 3),
+    ("scene_000 one 0.9 0.5 0.5 0.2 0.2", 3), ("scene_000 1 0.9 0.5 0.5 wide 0.2", 3),
+    ("scene_999 1 0.9 0.5 0.5 0.2 0.2", 2)])
+def test_cli_eval_exit_codes_on_bad_detection_lines(tmp_path, capsys, line, code):
+    from mambafuse.cli import main
+    data = synth_dataset(0, 1, 64, tmp_path / "data")
+    dets = tmp_path / "dets.txt"
+    dets.write_text(f"scene_000 1 0.9 0.5 0.5 0.2 0.2\n\n{line}\n")
+    assert main(["eval", "--dets", str(dets), "--data", str(data)]) == code
+    err = capsys.readouterr().err
+    assert ("dets.txt line 3" in err) if code == 3 else ("scene_999" in err)
 
 
 def test_config_comments_and_blanks_ignored():
