@@ -6,6 +6,16 @@ output, so an activation that no closure reads is freed as soon as the
 forward pass drops it.  Outside every ``Tape`` (or under ``no_grad``)
 nothing is recorded.  ``backward`` consumes the tape.  Arrays are plain
 numpy, float32 by default with a float64 mode for gradient checking.
+
+A closure keeps the arrays that its op's inputs already own and rebuilds
+anything derived from them in the backward (a sigmoid, an argmax, an
+im2col matrix, a sampler's corner weights) with the same numpy calls in
+the same order, so gradients are the same bits as if it had been kept.
+The exceptions keep one array that costs more to rebuild than to hold: a
+padded input that a kernel reads in shifted views, an output or slope
+that would cost an exp or a sqrt again (sigmoid, exp, sqrt, softplus), a
+mask or argmax the size of the output, and the scan's chunk-boundary
+states.
 """
 
 from __future__ import annotations
@@ -280,12 +290,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def safe_div(a: Tensor, b: Tensor, eps: float = SAFE_DIV_EPS) -> Tensor:
     """a / (b + eps); eps=0 gives plain division."""
-    denom = b.data + eps
-    out = Tensor(a.data / denom)
-    return _record(
-        out, (a, b),
-        lambda gy: (gy / denom, -gy * a.data / (denom * denom)),
-    )
+    out = Tensor(a.data / (b.data + eps))
+
+    def bw(gy):
+        denom = b.data + eps
+        return (gy / denom, -gy * a.data / (denom * denom))
+
+    return _record(out, (a, b), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -305,9 +316,13 @@ def _sigmoid_from_z(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid_np(a.data)
-    out = Tensor(a.data * s)
-    return _record(out, (a,), lambda gy: (gy * (s + a.data * s * (1.0 - s)),))
+    out = Tensor(a.data * _sigmoid_np(a.data))
+
+    def bw(gy):
+        s = _sigmoid_np(a.data)
+        return (gy * (s + a.data * s * (1.0 - s)),)
+
+    return _record(out, (a,), bw)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -472,14 +487,12 @@ def mean_all(a: Tensor) -> Tensor:
 
 def max_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     """Max along one axis; gradient routes to the first maximal element."""
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-    arg = a.data.argmax(axis=axis)  # first index on ties
-    out = Tensor(out_data)
-    shape = a.data.shape
+    out = Tensor(a.data.max(axis=axis, keepdims=keepdims))
 
     def bw(gy):
+        arg = a.data.argmax(axis=axis)  # first index on ties
         gy_e = gy if keepdims else np.expand_dims(gy, axis)
-        g = np.zeros(shape, dtype=gy.dtype)
+        g = np.zeros(a.data.shape, dtype=gy.dtype)
         np.put_along_axis(g, np.expand_dims(arg, axis), gy_e, axis=axis)
         return (g,)
 
@@ -596,27 +609,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         raise ConfigError(
             f"conv2d output would be empty for input {x.shape}, kernel {K}, "
             f"stride {stride}, padding {padding}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # np.pad copies even at zero padding; an unpadded input is read in place
+    xp = (np.ascontiguousarray(x.data) if padding == 0 else
+          np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))))
     parents = (x, weight) if bias is None else (x, weight, bias)
     if Cout == 1:
         out, bw = _conv2d_one_channel(xp, weight.data, bias, stride, padding, Ho, Wo)
         return _record(out, parents, bw)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (K, K), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [B,C,Ho,Wo,K,K]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, C * K * K)
     wmat = weight.data.reshape(Cout, C * K * K)
-    y = (cols @ wmat.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
+    y = (_im2col(xp, K, stride) @ wmat.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
     if bias is not None:
         y = y + bias.data.reshape(1, Cout, 1, 1)
     out = Tensor(y)
 
-    xp_shape = xp.shape   # the closure keeps the shape, not the padded input
-
+    # the closure keeps the padded input, not its column matrix, and
+    # rebuilds the columns in the backward
     def bw(gy):
         gflat = gy.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
-        gw = (gflat.T @ cols).reshape(Cout, C, K, K)
+        gw = (gflat.T @ _im2col(xp, K, stride)).reshape(Cout, C, K, K)
         gcols = (gflat @ wmat).reshape(B, Ho, Wo, C, K, K)
-        gx = np.zeros(xp_shape, dtype=gy.dtype)
+        gx = np.zeros(xp.shape, dtype=gy.dtype)
         for ky in range(K):
             for kx in range(K):
                 _shifted(gx, ky, kx, Ho, Wo, stride)[...] += \
@@ -627,6 +639,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         return (gx, gw)
 
     return _record(out, parents, bw)
+
+
+def _im2col(xp: np.ndarray, K: int, stride: int) -> np.ndarray:
+    """[B*Ho*Wo, C*K*K] matrix of the KxK windows of the padded input."""
+    C = xp.shape[1]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (K, K), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [B,C,Ho,Wo,K,K]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, C * K * K)
 
 
 def _conv2d_one_channel(xp: np.ndarray, w: np.ndarray, bias: Optional[Tensor],
@@ -727,14 +747,50 @@ def grid_sample_taps(x: Tensor, ys: Tensor, xs: Tensor) -> Tensor:
 
     Returns [B,C*T,Ho,Wo] with the channel axis major (tap index minor);
     out-of-bounds neighbors contribute zero.  Differentiable w.r.t. x and
-    both coordinate fields.
+    both coordinate fields.  The closure keeps only the three inputs; the
+    backward recomputes the corners' positions, weights and gathered values.
     """
     B, C, H, W = x.data.shape
     if ys.shape != xs.shape or ys.shape[0] != B:
         raise ConfigError(f"coordinate shapes {ys.shape}/{xs.shape} mismatch input {x.shape}")
     T, Ho, Wo = ys.shape[1:]
-    y = ys.data.reshape(B, -1)
-    xx = xs.data.reshape(B, -1)
+    out = np.zeros((B, C, T * Ho * Wo), dtype=x.data.dtype)
+    for _, _, idx, g, fy, fx, valid in _bilinear_corners(x.data, ys.data, xs.data):
+        # the mask folds into the [B,P] weights: an off-map corner weighs 0
+        out += g * (fy * fx * valid)[:, None]
+    out = Tensor(out.reshape(B, C * T, Ho, Wo))
+
+    def bw(gy_flat):
+        gy = gy_flat.reshape(B, C, -1)
+        gys = np.zeros((B, T * Ho * Wo), dtype=ys.data.dtype)
+        gxs = np.zeros((B, T * Ho * Wo), dtype=xs.data.dtype)
+        gx = np.zeros(B * C * H * W)
+        for dy, dx, idx, g, fy, fx, valid in _bilinear_corners(x.data, ys.data, xs.data):
+            wgt = fy * fx * valid
+            gx += np.bincount(idx.reshape(-1), weights=(gy * wgt[:, None]).reshape(-1),
+                              minlength=gx.size)
+            # d out / d corner weight, summed over channels
+            gdot = np.einsum("bcp,bcp->bp", gy, g) * valid
+            gys += gdot * (fx * (1.0 if dy else -1.0))
+            gxs += gdot * (fy * (1.0 if dx else -1.0))
+        return (gx.reshape(B, C, H, W).astype(gy.dtype),
+                gys.reshape(ys.shape), gxs.reshape(xs.shape))
+
+    return _record(out, (x, ys, xs), bw)
+
+
+def _bilinear_corners(x: np.ndarray, ys: np.ndarray, xs: np.ndarray):
+    """The four neighbours of every sampling point, one corner at a time.
+
+    For x:[B,C,H,W] and coords ys/xs:[B,...] flattened to P points, yields
+    (dy, dx, idx, g, fy, fx, valid): the corner's offset from the floor
+    cell, its flat indices into x [B,C,P] (clipped onto the map), the
+    values there [B,C,P], its row and column weights [B,P], and whether it
+    lies on the map [B,P].
+    """
+    B, C, H, W = x.shape
+    y = ys.reshape(B, -1)
+    xx = xs.reshape(B, -1)
     y0 = np.floor(y)
     x0 = np.floor(xx)
     wy = y - y0
@@ -743,41 +799,16 @@ def grid_sample_taps(x: Tensor, ys: Tensor, xs: Tensor) -> Tensor:
     x0i = x0.astype(np.int64)
     # flat offset of plane (b, c) in x.reshape(-1)
     plane = (np.arange(B * C, dtype=np.int64) * (H * W)).reshape(B, C, 1)
-    xflat = x.data.reshape(-1)
-
-    out = np.zeros((B, C, y.shape[1]), dtype=x.data.dtype)
-    corners = []
+    xflat = x.reshape(-1)
     for dy in (0, 1):
+        fy = wy if dy else 1.0 - wy
+        yc = y0i + dy
         for dx in (0, 1):
-            yc = y0i + dy
+            fx = wx if dx else 1.0 - wx
             xc = x0i + dx
             valid = (yc >= 0) & (yc < H) & (xc >= 0) & (xc < W)
-            pos = np.clip(yc, 0, H - 1) * W + np.clip(xc, 0, W - 1)   # [B,P]
-            g = xflat.take(plane + pos[:, None])                       # [B,C,P]
-            # the mask folds into the [B,P] weights: an off-map corner weighs 0
-            wgt = (wy if dy else 1.0 - wy) * (wx if dx else 1.0 - wx) * valid
-            out += g * wgt[:, None]
-            corners.append((dy, dx, valid, pos, g, wgt))
-    out = Tensor(out.reshape(B, C * T, Ho, Wo))
-
-    def bw(gy_flat):
-        gy = gy_flat.reshape(B, C, -1)
-        gys = np.zeros_like(y)
-        gxs = np.zeros_like(xx)
-        gx = np.zeros(B * C * H * W)
-        for dy, dx, valid, pos, g, wgt in corners:
-            gx += np.bincount((plane + pos[:, None]).reshape(-1),
-                              weights=(gy * wgt[:, None]).reshape(-1), minlength=gx.size)
-            # d out / d corner weight, summed over channels
-            gdot = np.einsum("bcp,bcp->bp", gy, g) * valid
-            sy = (wx if dx else 1.0 - wx) * (1.0 if dy else -1.0)
-            sx = (wy if dy else 1.0 - wy) * (1.0 if dx else -1.0)
-            gys += gdot * sy
-            gxs += gdot * sx
-        return (gx.reshape(B, C, H, W).astype(gy.dtype),
-                gys.reshape(ys.shape), gxs.reshape(xs.shape))
-
-    return _record(out, (x, ys, xs), bw)
+            idx = plane + (np.clip(yc, 0, H - 1) * W + np.clip(xc, 0, W - 1))[:, None]
+            yield dy, dx, idx, xflat.take(idx), fy, fx, valid
 
 
 # ---------------------------------------------------------------------------

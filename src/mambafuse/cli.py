@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -108,6 +109,9 @@ def cmd_eval(args) -> int:
                 conf, cx, cy, w, h = map(float, parts[2:])
             except ValueError as e:
                 raise IOError(f"{args.dets} line {lineno}: {e}") from e
+            # a nan confidence would make the ranking depend on line order
+            if not all(map(math.isfinite, (conf, cx, cy, w, h))):
+                raise IOError(f"{args.dets} line {lineno}: non-finite field in {line.strip()!r}")
             dets_per_image[id_index[image_id]].append(
                 DetectionBox(cx, cy, w, h, cls, conf))
     aps, mAP = eval_map(dets_per_image, gts, iou_threshold=args.iou)
@@ -196,7 +200,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, IOError, CheckpointError) as e:
+    except (OSError, CheckpointError, UnicodeDecodeError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
 

@@ -196,7 +196,9 @@ def _read_pnm(path, magic: bytes):
 
 def read_ppm(path) -> np.ndarray:
     W, H, maxval, data = _read_pnm(path, b"P6")
-    return data.reshape(H, W, 3).transpose(2, 0, 1).astype(np.float64) / maxval
+    # channel-major in memory, not a [3,H,W] view of the interleaved bytes:
+    # on that view numpy's max and sum over channels run 30-100x slower
+    return data.reshape(H, W, 3).transpose(2, 0, 1).astype(np.float64, order="C") / maxval
 
 
 def read_pgm(path) -> np.ndarray:

@@ -469,6 +469,44 @@ def test_tape_frees_unread_outputs_and_backward_frees_as_it_sweeps():
     np.testing.assert_array_equal(x.grad, np.full(x.shape, 32.0, dtype=np.float32))
 
 
+def held_beyond_output(op, *inputs):
+    """Bytes that recording ``op(*inputs)`` keeps alive beyond its output."""
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            out = op(*inputs)
+            held = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    return held
+
+
+def test_recorded_grid_sample_holds_only_its_inputs():
+    # the stage-0 RGB shape: 16 taps on a 32x32 grid of a 128 px image.
+    # Kept corners (positions, weights and gathered values) would be ~15 MB
+    r = rng(31)
+    x = Tensor(r.normal(size=(8, 3, 128, 128)).astype(np.float32), requires_grad=True)
+    ys, xs = (Tensor(r.uniform(-2, 130, size=(8, 16, 32, 32)).astype(np.float32),
+                     requires_grad=True) for _ in range(2))
+    assert held_beyond_output(ad.grid_sample_taps, x, ys, xs) < 2**20
+
+
+def test_recorded_silu_holds_nothing_beyond_its_output():
+    a = Tensor(rng(32).normal(size=(8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    assert held_beyond_output(ad.silu, a) < 4096
+
+
+def test_recorded_unpadded_conv_holds_nothing_beyond_its_output():
+    # a 1x1 conv at padding 0 reads its input in place: no padded copy and
+    # no column matrix
+    r = rng(33)
+    x = Tensor(r.normal(size=(8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(r.normal(size=(24, 16, 1, 1)).astype(np.float32), requires_grad=True)
+    assert held_beyond_output(lambda x, w: ad.conv2d(x, w, None), x, w) < 4096
+
+
 def test_backward_returns_named_parameter_grads():
     from mambafuse.nn import Parameter
     p = Parameter(np.ones((2,)), name="w")

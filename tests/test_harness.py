@@ -80,7 +80,9 @@ def test_ppm_pgm_round_trip(tmp_path):
     gray = np.round(r.uniform(size=(1, 4, 7)) * 255) / 255
     write_ppm(tmp_path / "x.ppm", rgb)
     write_pgm(tmp_path / "x.pgm", gray)
-    np.testing.assert_allclose(read_ppm(tmp_path / "x.ppm"), rgb, atol=1e-12)
+    got = read_ppm(tmp_path / "x.ppm")
+    np.testing.assert_allclose(got, rgb, atol=1e-12)
+    assert got.flags.c_contiguous   # channel-major in memory, not a view of RGB triples
     np.testing.assert_allclose(read_pgm(tmp_path / "x.pgm"), gray, atol=1e-12)
 
 
@@ -499,7 +501,8 @@ def test_cli_eval_exits_3_on_unparsable_label_line(tmp_path, capsys, line):
 @pytest.mark.parametrize("line,code", [
     ("scene_000 1 0.9 0.5 0.5 0.2", 3), ("scene_000 1 0.9 0.5 0.5 0.2 0.2 7", 3),
     ("scene_000 one 0.9 0.5 0.5 0.2 0.2", 3), ("scene_000 1 0.9 0.5 0.5 wide 0.2", 3),
-    ("scene_999 1 0.9 0.5 0.5 0.2 0.2", 2)])
+    ("scene_999 1 0.9 0.5 0.5 0.2 0.2", 2), ("scene_000 1 nan 0.5 0.5 0.2 0.2", 3),
+    ("scene_000 1 0.9 inf 0.5 0.2 0.2", 3), ("scene_000 1 0.9 0.5 0.5 0.2 -inf", 3)])
 def test_cli_eval_exit_codes_on_bad_detection_lines(tmp_path, capsys, line, code):
     from mambafuse.cli import main
     data = synth_dataset(0, 1, 64, tmp_path / "data")
@@ -508,6 +511,36 @@ def test_cli_eval_exit_codes_on_bad_detection_lines(tmp_path, capsys, line, code
     assert main(["eval", "--dets", str(dets), "--data", str(data)]) == code
     err = capsys.readouterr().err
     assert ("dets.txt line 3" in err) if code == 3 else ("scene_999" in err)
+
+
+def test_cli_eval_fuzzed_detection_lines_succeed_or_exit_2_or_3(tmp_path):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from mambafuse.cli import main
+    data = str(synth_dataset(0, 1, 64, tmp_path / "data"))
+    dets = tmp_path / "dets.txt"
+    # well-formed lines with any class and any finite numbers, and lines
+    # whose fields are drawn from numbers, special spellings, text and bytes
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    well_formed = st.tuples(st.just("scene_000"), st.integers(-10, 10**30).map(str),
+                            *[number] * 5)
+    field = st.one_of(
+        st.floats().map(repr), st.integers(-10, 10**30).map(str),
+        st.sampled_from(["nan", "inf", "-inf", "1e400", "0x1p3", "1_0", "+.5", ""]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    )
+    fuzzed = st.tuples(st.one_of(st.just("scene_000"), field), *[field] * 6)
+    line = st.one_of(well_formed, fuzzed).map(lambda t: " ".join(t).encode())
+    line = st.one_of(line, st.tuples(line, st.binary(max_size=4)).map(b" ".join))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(line, min_size=1, max_size=3))
+    def run(lines):
+        dets.write_bytes(b"".join(ln + b"\n" for ln in lines))
+        assert main(["eval", "--dets", str(dets), "--data", data]) in (0, 2, 3)
+
+    run()
 
 
 def test_config_comments_and_blanks_ignored():
