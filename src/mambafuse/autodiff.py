@@ -224,13 +224,12 @@ def _sum_into(acc: Optional[np.ndarray], g, shape: tuple, dtype) -> np.ndarray:
     return g if acc is None else acc + g
 
 
-def backward(tape: Tape, loss: Tensor) -> dict:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep over ``tape`` seeding at scalar ``loss``.
 
     Intermediate gradients live in node slots; each node's closure, slot
     and input references are dropped as soon as it is swept, so the tape is
-    consumed.  Leaf gradients accumulate into ``.grad``.  Returns a
-    name->Tensor map for any ``Parameter`` leaves that received a gradient.
+    consumed.  Leaf gradients accumulate into ``.grad``.
     """
     if loss.size != 1:
         raise UsageError(f"loss must be scalar, got shape {loss.shape}")
@@ -242,7 +241,6 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     if root is not None:
         root.grad = np.ones(root.shape, dtype=root.dtype)
     seen = False
-    named = {}
     for node in reversed(tape.nodes):
         if node is root:
             seen = True
@@ -257,12 +255,8 @@ def backward(tape: Tape, loss: Tensor) -> dict:
                 ref.grad = _sum_into(ref.grad, g, ref.shape, ref.dtype)
             else:
                 ref.grad = _sum_into(ref.grad, g, ref.data.shape, ref.data.dtype)
-                name = getattr(ref, "name", None)
-                if name is not None:
-                    named[name] = ref
     if not seen and loss.requires_grad:
         raise UsageError("loss is not on the given tape")
-    return {name: Tensor(p.grad) for name, p in named.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +809,7 @@ def _bilinear_corners(x: np.ndarray, ys: np.ndarray, xs: np.ndarray):
 # composed helpers
 
 def log_softmax(x: Tensor, axis: int) -> Tensor:
-    m = stop_gradient(max_axis(x, axis=axis, keepdims=True))
+    m = Tensor(x.data.max(axis=axis, keepdims=True))   # a constant shift
     shifted = sub(x, m)
     lse = log(sum_axis(exp(shifted), axis=axis, keepdims=True))
     return sub(shifted, lse)

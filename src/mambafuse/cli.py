@@ -134,6 +134,17 @@ def cmd_check(args) -> int:
     return 0 if run_checks() else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low`` (argparse exits 2 otherwise)."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mambafuse",
                                 description="RGB-IR fusion detector toolkit")
@@ -141,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, ckpt=False, config=False, pair=False):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_int_at_least(0), default=None)
         if config:
             sp.add_argument("--config", type=str, default=None,
                             help="key=value config file")
@@ -162,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, config=True)
     sp.add_argument("--data", type=str, required=True)
     sp.add_argument("--ckpt", type=str, required=True, help="checkpoint output")
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--steps", type=_int_at_least(1), default=None)
     sp.add_argument("--log", type=str, default=None, help="loss log file")
     sp.set_defaults(fn=cmd_train)
 

@@ -14,6 +14,10 @@ from .config import ModelConfig
 from .nn import Conv2d, Module
 from .ssm import MambaBlock
 
+# Largest distance bin of the box head: each side's distance is a softmax
+# over bins 0..REG_MAX, in units of the level's stride.
+REG_MAX = 7
+
 
 @dataclass
 class DetectionBox:
@@ -110,12 +114,12 @@ class DNM(Module):
 
 
 class HeadLevel(Module):
-    def __init__(self, rng, channels: int, num_classes: int, reg_max: int):
+    def __init__(self, rng, channels: int, num_classes: int):
         super().__init__()
         self.cls_stem = Conv2d(rng, channels, channels, 3, padding=1)
         self.cls_out = Conv2d(rng, channels, num_classes, 1)
         self.box_stem = Conv2d(rng, channels, channels, 3, padding=1)
-        self.box_out = Conv2d(rng, channels, 4 * (reg_max + 1), 1)
+        self.box_out = Conv2d(rng, channels, 4 * (REG_MAX + 1), 1)
         # start with a low objectness prior so background anchors are quiet
         self.cls_out.bias.data[:] = -4.6
 
@@ -131,9 +135,8 @@ class DetectHead(Module):
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
         self.num_classes = cfg.num_classes
-        self.reg_max = cfg.reg_max
         for i, c in enumerate(cfg.level_widths):
-            setattr(self, f"level{i}", HeadLevel(rng, c, cfg.num_classes, cfg.reg_max))
+            setattr(self, f"level{i}", HeadLevel(rng, c, cfg.num_classes))
 
     def __call__(self, features):
         out = []
@@ -244,7 +247,7 @@ class LossInputs:
         self.levels = []
         for li, (cls, box) in enumerate(preds):
             B, nc, H, W = cls.shape
-            R1 = cfg.reg_max + 1
+            R1 = REG_MAX + 1
             if box.shape[1] != 4 * R1:
                 raise ConfigError(f"box head channels {box.shape[1]} != {4 * R1}")
             cls_flat = ad.transpose(ad.reshape(cls, (B, nc, H * W)), (0, 2, 1))
@@ -269,7 +272,7 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     Returns (total scalar Tensor, components dict of floats).
     """
     inputs = LossInputs(preds, cfg)
-    R = cfg.reg_max
+    R = REG_MAX
     R1 = R + 1
     nc = cfg.num_classes
     S = cfg.input_size
@@ -378,7 +381,7 @@ def decode_boxes(preds_np, cfg: ModelConfig, conf_threshold: float = 0.6,
                  iou_nms: float = 0.5) -> list[list[DetectionBox]]:
     """preds_np: per level (cls_logits, box_dist) numpy arrays; returns one
     DetectionBox list per batch image after thresholding and class-wise NMS."""
-    R1 = cfg.reg_max + 1
+    R1 = REG_MAX + 1
     S = cfg.input_size
     B = preds_np[0][0].shape[0]
     out = []

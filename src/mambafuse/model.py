@@ -20,7 +20,6 @@ class Detector(Module):
         self.mdtmb = MDTMB(rng, cfg)
         self.dnm = DNM(rng, cfg)
         self.head = DetectHead(rng, cfg)
-        self.bind_names()
 
     def __call__(self, rgb: Tensor, ir: Tensor):
         p2, p3, p4 = self.mdtmb(self.ffar(rgb, ir))

@@ -36,10 +36,10 @@ class AttentionPack(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
-        self.rgb_spatial = SpatialAttention(rng, cfg.attn_kernel)
-        self.ir_spatial = SpatialAttention(rng, cfg.attn_kernel)
-        self.rgb_channel = ChannelAttention(rng, cfg.base_width, cfg.reduction)
-        self.ir_channel = ChannelAttention(rng, cfg.base_width, cfg.reduction)
+        self.rgb_spatial = SpatialAttention(rng)
+        self.ir_spatial = SpatialAttention(rng)
+        self.rgb_channel = ChannelAttention(rng, cfg.base_width)
+        self.ir_channel = ChannelAttention(rng, cfg.base_width)
 
 
 class _Pair(Module):
@@ -61,14 +61,12 @@ class FFAR(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
-        self.cfg = cfg
-        c0 = cfg.base_width
+        c0, s = cfg.base_width, cfg.ffar_stride
         self.attn = AttentionPack(rng, cfg)
-        # rgb/ir DTMBs are addressable as <branch>.dtmb in the checkpoint
-        self.rgb = _Branch(DTMB(rng, 3, c0, cfg.patch_kernel, cfg.ffar_stride, 0,
-                                cfg.ssm_state, cfg.ssm_expand))
-        self.ir = _Branch(DTMB(rng, 1, c0, cfg.patch_kernel, cfg.ffar_stride, 0,
-                               cfg.ssm_state, cfg.ssm_expand))
+        # rgb/ir DTMBs are addressable as <branch>.dtmb in the checkpoint;
+        # each patchifies with a kernel equal to its stride
+        self.rgb = _Branch(DTMB(rng, 3, c0, s, s, 0, cfg.ssm_state, cfg.ssm_expand))
+        self.ir = _Branch(DTMB(rng, 1, c0, s, s, 0, cfg.ssm_state, cfg.ssm_expand))
         self.fusion_mamba = _Pair(
             FusionMambaBlock(rng, c0, cfg.ssm_state, cfg.ssm_expand),
             FusionMambaBlock(rng, c0, cfg.ssm_state, cfg.ssm_expand))
@@ -85,7 +83,7 @@ class FFAR(Module):
         f_ir_fm = self.fusion_mamba.ir(f_ir, f_rgb)
         w_rgb = self.attn.rgb_channel(f_rgb_fm)
         w_ir = self.attn.ir_channel(f_ir_fm)
-        return cross_channel_fuse(f_rgb_fm, f_ir_fm, w_rgb, w_ir, eps=self.cfg.eps)
+        return cross_channel_fuse(f_rgb_fm, f_ir_fm, w_rgb, w_ir)
 
 
 class MDTMB(Module):
@@ -93,13 +91,11 @@ class MDTMB(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
-        self.cfg = cfg
-        k = cfg.stage_kernel
-        pad = (k - 1) // 2
         widths = (cfg.base_width,) + tuple(cfg.stage_widths)
         for i in range(4):
+            # 3x3 tokens at stride 2, padding 1
             setattr(self, f"stage{i + 1}",
-                    _Branch(DTMB(rng, widths[i], widths[i + 1], k, 2, pad,
+                    _Branch(DTMB(rng, widths[i], widths[i + 1], 3, 2, 1,
                                  cfg.ssm_state, cfg.ssm_expand)))
 
     def stages(self):

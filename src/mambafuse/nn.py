@@ -11,13 +11,12 @@ from .autodiff import ConfigError, Tensor
 
 
 class Parameter(Tensor):
-    """A named trainable tensor; ``grad`` accumulates during backward."""
+    """A trainable tensor; ``grad`` accumulates during backward."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 
 
 class Module:
@@ -48,11 +47,6 @@ class Module:
         yield self
         for m in self._modules.values():
             yield from m.modules()
-
-    def bind_names(self, prefix: str = "") -> None:
-        """Stamp hierarchical names onto every parameter."""
-        for name, p in self.named_parameters(prefix):
-            p.name = name
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named_parameters()}

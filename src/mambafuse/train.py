@@ -29,6 +29,14 @@ from .nn import Module
 # seed 2 at 0.7 px.
 OFFSET_LR_MULT = 6.0
 
+# The fixed YOLOv11-style SGD recipe: a cosine schedule from LR_INITIAL to
+# LR_FINAL, momentum, weight decay, and a cap on the global gradient norm.
+LR_INITIAL = 0.01
+LR_FINAL = 0.0001
+MOMENTUM = 0.937
+WEIGHT_DECAY = 0.0005
+GRAD_CLIP = 10.0
+
 
 def cosine_lr(step: int, total_steps: int, lr_initial: float, lr_final: float) -> float:
     """lr(0) = lr_initial, lr(total_steps-1) = lr_final."""
@@ -86,7 +94,7 @@ class SGD:
             if p.grad is not None:
                 total += float((p.grad.astype(np.float64) ** 2).sum())
         norm = math.sqrt(total)
-        if max_norm > 0 and norm > max_norm:
+        if norm > max_norm:
             scale = max_norm / norm
             for p in self.params:
                 if p.grad is not None:
@@ -173,8 +181,7 @@ def compute_batch_loss(model: Detector, rgb, ir, labels, cfg: ModelConfig,
     grids = [(p[0].shape[2], p[0].shape[3]) for p in preds]
     assignments = [assign_targets(lab, grids, cfg.level_strides, cfg.input_size)
                    for lab in labels]
-    return total_loss(preds, assignments, labels, cfg,
-                      tc.lambda_cls, tc.lambda_box, tc.lambda_dfl)
+    return total_loss(preds, assignments, labels, cfg)
 
 
 def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
@@ -182,6 +189,8 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
     """Run the SGD loop; logs ``step total cls box dfl lr`` per step and
     writes the final checkpoint.  The BLAS pool runs at one thread during
     the steps, so the result does not depend on its thread count."""
+    if model is None:
+        model = build_detector(cfg, seed=tc.seed)
     ids, rgbs, irs, labels = load_dataset(data_dir)
     if not ids:
         raise IOError(f"dataset at {data_dir} is empty")
@@ -190,14 +199,12 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
             if b.class_id >= cfg.num_classes:
                 raise ConfigError(f"image {image_id}: class {b.class_id} is out of "
                                   f"range for num_classes={cfg.num_classes}")
-    if model is None:
-        model = build_detector(cfg, seed=tc.seed)
-    opt = SGD.for_model(model, tc.momentum, tc.weight_decay)
+    opt = SGD.for_model(model, MOMENTUM, WEIGHT_DECAY)
     with _single_blas_thread():
         batches = _mini_batches(len(ids), tc.batch_size)
         for step in range(tc.steps):
             idx = next(batches)
-            lr = cosine_lr(step, tc.steps, tc.lr_initial, tc.lr_final)
+            lr = cosine_lr(step, tc.steps, LR_INITIAL, LR_FINAL)
             opt.zero_grad()
             with Tape() as tape:
                 loss, comps = compute_batch_loss(
@@ -205,8 +212,7 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
                 if not math.isfinite(comps["total"]):
                     raise NumericError(f"non-finite loss at step {step}")
                 ad.backward(tape, loss)
-            if tc.grad_clip > 0:
-                opt.clip_grad_norm(tc.grad_clip)
+            opt.clip_grad_norm(GRAD_CLIP)
             opt.step(lr)
             log(f"{step} {comps['total']:.6f} {comps['cls']:.6f} "
                 f"{comps['box']:.6f} {comps['dfl']:.6f} {lr:.6f}")

@@ -507,14 +507,16 @@ def test_recorded_unpadded_conv_holds_nothing_beyond_its_output():
     assert held_beyond_output(lambda x, w: ad.conv2d(x, w, None), x, w) < 4096
 
 
-def test_backward_returns_named_parameter_grads():
-    from mambafuse.nn import Parameter
-    p = Parameter(np.ones((2,)), name="w")
+def test_recorded_log_softmax_makes_five_nodes():
+    # the max shift is a constant: sub, exp, sum_axis, log and sub record; a
+    # recorded max would never receive a gradient and only keep x alive
+    x = Tensor(rng(34).normal(size=(3, 4)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(p, Tensor([2.0, 3.0])))
-        named = ad.backward(tape, loss)
-    assert set(named) == {"w"}
-    np.testing.assert_array_equal(named["w"].data, [2.0, 3.0])
+        y = ad.log_softmax(x, 1)
+    assert len(tape.nodes) == 5
+    z = x.data.astype(np.float64)
+    want = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(y.data, want, rtol=1e-5, atol=1e-6)
 
 
 def test_backward_rejects_nonscalar_loss():

@@ -9,7 +9,7 @@ import pytest
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import Tensor, grad_check, precision
 from mambafuse.config import tiny_config
-from mambafuse.detect import (DetectionBox, LEVEL_RANGES, anchor_centers,
+from mambafuse.detect import (LEVEL_RANGES, REG_MAX, DetectionBox, anchor_centers,
                               assign_targets, bce_with_logits, box_iou, ciou,
                               decode_boxes, eval_map, nms, route_level,
                               total_loss)
@@ -205,7 +205,7 @@ def fake_preds(r, cfg, batch=1):
     preds = []
     for li, (gh, gw) in enumerate(GRIDS):
         cls = Tensor(r.normal(size=(batch, cfg.num_classes, gh, gw)).astype(np.float32))
-        box = Tensor(r.normal(size=(batch, 4 * (cfg.reg_max + 1), gh, gw)).astype(np.float32))
+        box = Tensor(r.normal(size=(batch, 4 * (REG_MAX + 1), gh, gw)).astype(np.float32))
         preds.append((cls, box))
     return preds
 
@@ -257,8 +257,7 @@ def test_cls_loss_oracle_summed_bce_per_foreground():
 
 def test_dfl_uniform_logits_expect_midpoint():
     # equal logits over the 8 bins give an expected distance of 3.5 strides
-    cfg = tiny_config()
-    R1 = cfg.reg_max + 1
+    R1 = REG_MAX + 1
     logits = np.zeros((1, 4, R1))
     probs = np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)
     expect = (probs * np.arange(R1)).sum(axis=2)
@@ -284,7 +283,7 @@ def test_dfl_two_bin_hand_case():
 
 def make_pred_for_box(cfg, box: DetectionBox, logit=6.0):
     """Head outputs whose decode should reproduce ``box`` exactly."""
-    R1 = cfg.reg_max + 1
+    R1 = REG_MAX + 1
     preds = []
     li = route_level(box)
     for lj, ((gh, gw), stride) in enumerate(zip(GRIDS, STRIDES)):
@@ -299,7 +298,7 @@ def make_pred_for_box(cfg, box: DetectionBox, logit=6.0):
             t = np.array([centers[ai, 0] - x1, centers[ai, 1] - y1,
                           x2 - centers[ai, 0], y2 - centers[ai, 1]])
             t = t * SIZE / stride
-            assert np.all(t >= 0) and np.all(t <= cfg.reg_max)
+            assert np.all(t >= 0) and np.all(t <= REG_MAX)
             iy, ix = divmod(ai, gw)
             cls[0, box.class_id, iy, ix] = logit
             for k in range(4):
@@ -335,13 +334,13 @@ def test_decode_clips_boxes_that_overshoot_the_image():
     # every anchor confident, every distance at the last bin: the stride-64
     # level reaches reg_max * 64 px past its centre on all four sides
     cfg = tiny_config()
-    R1 = cfg.reg_max + 1
-    assert cfg.reg_max * max(STRIDES) > SIZE
+    R1 = REG_MAX + 1
+    assert REG_MAX * max(STRIDES) > SIZE
     preds = []
     for gh, gw in GRIDS:
         cls = np.full((1, cfg.num_classes, gh, gw), 5.0, dtype=np.float32)
         dist = np.full((1, 4, R1, gh, gw), -30.0, dtype=np.float32)
-        dist[:, :, cfg.reg_max] = 20.0
+        dist[:, :, REG_MAX] = 20.0
         preds.append((cls, dist.reshape(1, 4 * R1, gh, gw)))
     dets = decode_boxes(preds, cfg, conf_threshold=0.5, iou_nms=1.0)[0]
     assert dets

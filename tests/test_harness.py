@@ -2,6 +2,7 @@
 schedules, optimizer mechanics, determinism, and the self-check registry."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -269,7 +270,7 @@ def test_cosine_lr_is_monotonically_decreasing():
 
 
 def test_sgd_momentum_hand_case():
-    p = Parameter(np.array([1.0], dtype=np.float32), name="p")
+    p = Parameter(np.array([1.0], dtype=np.float32))
     opt = SGD([p], momentum=0.5, weight_decay=0.0)
     p.grad = np.array([1.0], dtype=np.float32)
     opt.step(lr=0.1)
@@ -280,7 +281,7 @@ def test_sgd_momentum_hand_case():
 
 
 def test_sgd_weight_decay_pulls_toward_zero():
-    p = Parameter(np.array([2.0], dtype=np.float32), name="p")
+    p = Parameter(np.array([2.0], dtype=np.float32))
     opt = SGD([p], momentum=0.0, weight_decay=0.1)
     p.grad = np.zeros(1, dtype=np.float32)
     opt.step(lr=1.0)
@@ -288,7 +289,7 @@ def test_sgd_weight_decay_pulls_toward_zero():
 
 
 def test_grad_clip_scales_to_cap():
-    p = Parameter(np.zeros(3, dtype=np.float32), name="p")
+    p = Parameter(np.zeros(3, dtype=np.float32))
     opt = SGD([p], momentum=0.0, weight_decay=0.0)
     p.grad = np.array([3.0, 4.0, 0.0], dtype=np.float32)
     norm = opt.clip_grad_norm(1.0)
@@ -427,11 +428,17 @@ def test_inference_is_bit_deterministic():
 
 def test_config_text_round_trip():
     mc = tiny_config(num_classes=3)
-    tc = TrainConfig(steps=42, lr_initial=0.02)
+    tc = TrainConfig(steps=42, batch_size=4, threads=2)   # threads: inert but accepted
     text = dump_config(mc, tc)
     mkw, tkw = parse_config_text(text)
     assert ModelConfig(**mkw) == mc
     assert TrainConfig(**tkw) == tc
+
+
+# keys that once were settable and are now fixed in the module that reads them
+REMOVED_KEYS = ("patch_kernel", "stage_kernel", "attn_kernel", "reduction", "eps",
+                "reg_max", "lr_initial", "lr_final", "momentum", "weight_decay",
+                "grad_clip", "lambda_cls", "lambda_box", "lambda_dfl")
 
 
 def test_config_parse_errors():
@@ -439,26 +446,71 @@ def test_config_parse_errors():
         parse_config_text("steps 42")
     with pytest.raises(ConfigError):
         parse_config_text("warp_drive = 9")
+    for line in ["lr_initial = nan", "momentum = inf"] + [f"{k} = 0.9" for k in REMOVED_KEYS]:
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(line)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("input_size", 0), ("ffar_stride", 0), ("reduction", 0), ("base_width", 0),
-    ("stage_widths", (16, 0, 32, 48)), ("ssm_state", 0), ("ssm_expand", 0),
-    ("ffar_stride", -4)])
+    ("input_size", 0), ("ffar_stride", 0), ("base_width", 0), ("ssm_state", 0),
+    ("stage_widths", (16, 0, 32, 48)), ("ssm_expand", 0), ("ffar_stride", -4)])
 def test_config_rejects_sizes_below_one(field, value):
     with pytest.raises(ConfigError, match=field):
         tiny_config(**{field: value})
 
 
-def test_cli_train_exits_2_on_zero_reduction(tmp_path, capsys):
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -2), ("steps", 0), ("seed", -1)])
+def test_train_config_rejects_values_below_floor(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_cli_train_exits_2_on_base_width_indivisible_by_reduction(tmp_path, capsys):
+    # channel attention's fixed reduction of 4 cannot divide a width of 6
     from mambafuse.cli import main
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(dump_config(tiny_config(), TrainConfig()).replace(
-        "reduction = 4", "reduction = 0"))
+        "base_width = 8", "base_width = 6"))
     code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
                  "--ckpt", str(tmp_path / "m.ckpt")])
     assert code == 2
-    assert "reduction" in capsys.readouterr().err
+    assert "reduction 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["batch_size = 0", "batch_size = -2", "seed = -1",
+                                  "steps = 0", "momentum = inf", "lr_initial = nan"])
+def test_cli_train_exits_2_on_bad_config_value(tmp_path, capsys, line):
+    from mambafuse.cli import main
+    data = synth_dataset(0, 2, 64, tmp_path / "data")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(dump_config(tiny_config(input_size=64), TrainConfig()) + line + "\n")
+    code = main(["train", "--config", str(cfg), "--data", str(data),
+                 "--ckpt", str(tmp_path / "m.ckpt"), "--steps", "1"])
+    assert code == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--steps", "0", "--data", "d", "--ckpt", "m.ckpt"],
+    ["train", "--seed", "-1", "--data", "d", "--ckpt", "m.ckpt"],
+    ["synth", "--seed", "-1", "--data", "d"],
+    ["infer", "--seed", "-1", "--ckpt", "m.ckpt", "--rgb", "a.ppm", "--ir", "a.pgm"],
+    ["eval", "--seed", "-1", "--dets", "dets.txt", "--data", "d"],
+    ["viz", "--seed", "-1", "--ckpt", "m.ckpt", "--rgb", "a.ppm", "--ir", "a.pgm",
+     "--out", "o.ppm"],
+    ["check", "--seed", "-1"]],
+    ids=["train-steps", "train-seed", "synth", "infer", "eval", "viz", "check"])
+def test_cli_exits_2_on_steps_or_seed_below_floor(tmp_path, monkeypatch, capsys, argv):
+    from mambafuse.cli import main
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    flag = "--steps" if "--steps" in argv else "--seed"
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_train_exits_2_on_class_id_beyond_num_classes(tmp_path, capsys):
@@ -637,6 +689,19 @@ def test_run_checks_flags_failures_without_stopping():
     assert not ok
     assert lines[0].startswith("FAIL boom")
     assert len(lines) == 2
+
+
+def test_every_config_field_is_read_by_the_program():
+    # a field that no module reads is a knob that changes nothing; threads is
+    # inert until the benchmark's threads workload goes (ROADMAP item 1)
+    read = set()
+    for path in Path(mambafuse.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            read |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = {f.name for cls in (ModelConfig, TrainConfig)
+              for f in dataclasses.fields(cls)}
+    assert fields - read == {"threads"}
 
 
 def test_source_modules_use_every_import():

@@ -7,7 +7,7 @@ import pytest
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import ConfigError, Tensor, no_grad
 from mambafuse.config import ModelConfig, tiny_config
-from mambafuse.detect import DNM, DetectHead, SPPFMamba
+from mambafuse.detect import DNM, REG_MAX, DetectHead, SPPFMamba
 from mambafuse.model import build_detector
 from mambafuse.network import DTMB, FFAR, MDTMB, Backbone
 
@@ -146,7 +146,7 @@ def test_head_channel_contract():
         out = head(feats)
     for i, (cls, box) in enumerate(out):
         assert cls.shape[1] == cfg.num_classes
-        assert box.shape[1] == 4 * (cfg.reg_max + 1)
+        assert box.shape[1] == 4 * (REG_MAX + 1)
         assert cls.shape[2:] == feats[i].shape[2:]
 
 
