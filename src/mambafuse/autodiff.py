@@ -8,11 +8,11 @@ nothing is recorded.  ``backward`` consumes the tape.  Arrays are plain
 numpy, float32 by default with a float64 mode for gradient checking.
 
 A closure keeps the arrays that its op's inputs already own and rebuilds
-anything derived from them in the backward (a sigmoid, an argmax, an
-im2col matrix, a sampler's corner weights) with the same numpy calls in
-the same order, so gradients are the same bits as if it had been kept.
-The exceptions keep one array that costs more to rebuild than to hold: a
-padded input that a kernel reads in shifted views, an output or slope
+anything derived from them in the backward (a sigmoid, an argmax, a
+sampler's corner weights) with the same numpy calls in the same order, so
+gradients are the same bits as if it had been kept.  The exceptions keep
+one array that costs more to rebuild than to hold: a padded input that a
+kernel reads in shifted views, a conv's tap-major weights, an output or slope
 that would cost an exp or a sqrt again (sigmoid, exp, sqrt, softplus), a
 mask or argmax the size of the output, and the scan's chunk-boundary
 states.
@@ -584,10 +584,13 @@ def _crop(a: np.ndarray, pad: int) -> np.ndarray:
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding.
+    """Cross-correlation with zero padding, one kernel tap at a time.
 
-    One output channel (the 7x7 attention convs) runs per tap on shifted
-    views of the padded input; wider convs go through im2col.
+    The taps run channel-major: tap (ky, kx) adds ``W[:,:,ky,kx] . view`` to
+    a [Cout,B,Ho,Wo] sum, where the view is the tap's shifted [C,B,Ho,Wo]
+    window of the padded input (an unpadded one is read in place).  The
+    backward forms ``gW[:,:,ky,kx]`` from the same view and adds
+    ``W_tap^T . g`` into the shifted view of the input gradient.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ConfigError(f"conv2d needs rank-4 input/weight, got {x.shape}/{weight.shape}")
@@ -603,81 +606,55 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         raise ConfigError(
             f"conv2d output would be empty for input {x.shape}, kernel {K}, "
             f"stride {stride}, padding {padding}")
-    # np.pad copies even at zero padding; an unpadded input is read in place
-    xp = (np.ascontiguousarray(x.data) if padding == 0 else
-          np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))))
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    if Cout == 1:
-        out, bw = _conv2d_one_channel(xp, weight.data, bias, stride, padding, Ho, Wo)
-        return _record(out, parents, bw)
-    wmat = weight.data.reshape(Cout, C * K * K)
-    y = (_im2col(xp, K, stride) @ wmat.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
+    xc = x.data.transpose(1, 0, 2, 3)
+    if padding:
+        xc = np.pad(xc, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    taps = [(ky, kx) for ky in range(K) for kx in range(K)]
+    # [K,K,Cout,C]: each tap's matrix is contiguous, as BLAS needs
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+    y = np.zeros((Cout, B, Ho, Wo), dtype=np.result_type(xc, wt))
+    for ky, kx in taps:
+        _tap_mac(y, wt[ky, kx], _shifted(xc, ky, kx, Ho, Wo, stride))
     if bias is not None:
-        y = y + bias.data.reshape(1, Cout, 1, 1)
-    out = Tensor(y)
+        y += bias.data.reshape(Cout, 1, 1, 1)
+    # [B,C,H,W] in memory too: the layers after a conv, and the scan backward
+    # that its input gradient feeds, run slower on a strided map
+    out = Tensor(np.ascontiguousarray(y.transpose(1, 0, 2, 3)))
+    need_gx = x.requires_grad   # False where x derives from the images alone
 
-    # the closure keeps the padded input, not its column matrix, and
-    # rebuilds the columns in the backward
     def bw(gy):
-        gflat = gy.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
-        gw = (gflat.T @ _im2col(xp, K, stride)).reshape(Cout, C, K, K)
-        gcols = (gflat @ wmat).reshape(B, Ho, Wo, C, K, K)
-        gx = np.zeros(xp.shape, dtype=gy.dtype)
-        for ky in range(K):
-            for kx in range(K):
-                _shifted(gx, ky, kx, Ho, Wo, stride)[...] += \
-                    gcols[:, :, :, :, ky, kx].transpose(0, 3, 1, 2)
-        gx = _crop(gx, padding)
+        g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3))
+        gflat = g.reshape(Cout, -1)
+        gwt = np.empty(wt.shape, dtype=gy.dtype)
+        gxc = np.zeros(xc.shape, dtype=gy.dtype) if need_gx else None
+        for ky, kx in taps:
+            xs = _shifted(xc, ky, kx, Ho, Wo, stride)
+            if Cout == 1:   # a dot per input channel, on the view in place
+                gwt[ky, kx, 0] = np.einsum("bhw,cbhw->c", g[0], xs)
+            else:
+                gwt[ky, kx] = gflat @ xs.reshape(C, -1).T
+            if need_gx:
+                _tap_mac(_shifted(gxc, ky, kx, Ho, Wo, stride), wt[ky, kx].T, g)
+        gx = (None if gxc is None else
+              np.ascontiguousarray(_crop(gxc, padding).transpose(1, 0, 2, 3)))
+        gw = gwt.transpose(2, 3, 0, 1)
         if bias is not None:
-            return (gx, gw, gflat.sum(axis=0))
+            return (gx, gw, gflat.sum(axis=1))
         return (gx, gw)
 
+    parents = (x, weight) if bias is None else (x, weight, bias)
     return _record(out, parents, bw)
 
 
-def _im2col(xp: np.ndarray, K: int, stride: int) -> np.ndarray:
-    """[B*Ho*Wo, C*K*K] matrix of the KxK windows of the padded input."""
-    C = xp.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (K, K), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [B,C,Ho,Wo,K,K]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(-1, C * K * K)
-
-
-def _conv2d_one_channel(xp: np.ndarray, w: np.ndarray, bias: Optional[Tensor],
-                        stride: int, padding: int, Ho: int, Wo: int):
-    """Forward value and backward closure of a one-output-channel conv2d.
-
-    Every tap is one multiply-add of a shifted view of the padded input
-    ``xp``, so no [B*Ho*Wo, C*K*K] column matrix is built and the closure
-    holds only ``xp``.
-    """
-    B, C = xp.shape[:2]
-    K = w.shape[-1]
-    taps = [(c, ky, kx) for c in range(C) for ky in range(K) for kx in range(K)]
-    y = np.zeros((B, Ho, Wo), dtype=np.result_type(xp, w))
-    tmp = np.empty_like(y)
-    for c, ky, kx in taps:
-        np.multiply(_shifted(xp[:, c], ky, kx, Ho, Wo, stride), w[0, c, ky, kx], out=tmp)
-        y += tmp
-    if bias is not None:
-        y += bias.data[0]
-    out = Tensor(y.reshape(B, 1, Ho, Wo))
-
-    def bw(gy):
-        g = gy[:, 0]
-        gw = np.empty(w.shape, dtype=gy.dtype)
-        gx = np.zeros(xp.shape, dtype=gy.dtype)
-        tmp = np.empty_like(g)
-        for c, ky, kx in taps:
-            gw[0, c, ky, kx] = np.einsum("bhw,bhw->", g, _shifted(xp[:, c], ky, kx, Ho, Wo, stride))
-            np.multiply(g, w[0, c, ky, kx], out=tmp)
-            _shifted(gx[:, c], ky, kx, Ho, Wo, stride)[...] += tmp
-        gx = _crop(gx, padding)
-        if bias is not None:
-            return (gx, gw, gy.sum(axis=(0, 2, 3)))
-        return (gx, gw)
-
-    return out, bw
+def _tap_mac(acc: np.ndarray, w: np.ndarray, xs: np.ndarray) -> None:
+    """acc[M,B,Ho,Wo] += w[M,C] . xs[C,B,Ho,Wo] with the batch folded into
+    the GEMM's columns.  A GEMM with an inner dimension of 1 is slow, so
+    one input channel is a rank-1 update instead."""
+    C = w.shape[1]
+    if C == 1:
+        acc += w[:, :, None, None] * np.ascontiguousarray(xs)
+    else:
+        acc += (w @ xs.reshape(C, -1)).reshape(acc.shape)
 
 
 def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -36,21 +36,23 @@ def check_grad_elementwise():
 
 
 def check_grad_conv2d():
-    # three output channels go through im2col; one (a 7x7 attention conv)
-    # through the per-tap kernel
+    # a 3x3 conv and the model's conv shapes: a 1x1 conv, the 4x4 stride-4
+    # patchify of a one- and a three-channel image, the 7x7 attention conv
     with precision("f64"):
         rng = _rng(2)
-        for cout, K in ((3, 3), (1, 7)):
-            x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-            w = Tensor(rng.normal(size=(cout, 2, K, K)))
+        for cin, cout, K, stride, pad, size in ((2, 3, 3, 1, 1, 6), (2, 3, 1, 1, 0, 6),
+                                               (1, 3, 4, 4, 0, 8), (3, 3, 4, 4, 0, 8),
+                                               (2, 1, 7, 1, 3, 6)):
+            x = Tensor(rng.normal(size=(1, cin, size, size)))
+            w = Tensor(rng.normal(size=(cout, cin, K, K)))
             b = Tensor(rng.normal(size=cout))
-            pad = (K - 1) // 2
 
             def f(xi, wi, bi):
-                return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, stride=1, padding=pad)))
+                return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, stride, pad)))
 
             err = grad_check(f, [x, w, b], h=1e-4)
-            assert err < 1e-5, f"conv2d grad error {err:.2e} (cout {cout}, kernel {K})"
+            assert err < 1e-5, (f"conv2d grad error {err:.2e} (cin {cin}, cout {cout}, "
+                                f"kernel {K}, stride {stride})")
 
 
 def check_grad_depthwise():

@@ -73,6 +73,10 @@ def cmd_infer(args) -> int:
     model = _load_model(args, mc, tc.seed)
     rgb = read_ppm(args.rgb)
     ir = read_pgm(args.ir)
+    for path, img in ((args.rgb, rgb), (args.ir, ir)):
+        if img.shape[1:] != (mc.input_size, mc.input_size):
+            raise ConfigError(f"{path} is {img.shape[2]}x{img.shape[1]} px, but boxes "
+                              f"are decoded for input_size={mc.input_size}")
     preds = model.predict_np(rgb[None], ir[None])
     dets = decode_boxes(preds, mc, conf_threshold=args.conf, iou_nms=args.nms_iou)[0]
     image_id = Path(args.rgb).stem
@@ -165,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
     common(sp)
     sp.add_argument("--data", type=str, required=True, help="output directory")
-    sp.add_argument("--n", type=int, default=8)
+    sp.add_argument("--n", type=_int_at_least(1), default=8)
     sp.add_argument("--size", type=int, default=128)
     sp.set_defaults(fn=cmd_synth)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import ConfigError
 from .detect import DetectionBox
 
 NUM_CLASSES = 5
@@ -237,8 +238,8 @@ def read_labels(path) -> list[DetectionBox]:
 
 def synth_dataset(seed: int, n: int, size: int, out_dir) -> Path:
     """Write n scenes (PPM + PGM + labels) plus an index file; deterministic."""
-    if size % 64:
-        raise ValueError(f"image size {size} must be divisible by 64")
+    if size < 64 or size % 64:
+        raise ConfigError(f"image size {size} must be a positive multiple of 64")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -265,15 +266,22 @@ def load_dataset(data_dir):
         raise IOError(f"no index.txt in {data_dir}")
     ids, rgbs, irs, labels = [], [], [], []
     with open(index) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) != 4:
+                raise IOError(f"{index} line {lineno}: expected 4 fields "
+                              f"(id, rgb, ir, labels), got {len(parts)}")
             stem, rgb_f, ir_f, lab_f = parts
             ids.append(stem)
             rgbs.append(read_ppm(data_dir / rgb_f))
             irs.append(read_pgm(data_dir / ir_f))
             labels.append(read_labels(data_dir / lab_f))
+            for name, img in ((rgb_f, rgbs[-1]), (ir_f, irs[-1])):
+                if img.shape[1:] != rgbs[0].shape[1:]:
+                    raise IOError(f"{data_dir / name}: image size {img.shape[1:]} "
+                                  f"differs from {rgbs[0].shape[1:]} of the first scene")
     if not ids:
         return ids, np.zeros((0,)), np.zeros((0,)), labels
     return ids, np.stack(rgbs), np.stack(irs), labels

@@ -234,8 +234,8 @@ def ciou(pred: Tensor, gt: Tensor, eps: float = 1e-7) -> Tensor:
     ar_g = ad.arctan(ad.safe_div(ad.sub(gx2, gx1), ad.sub(gy2, gy1), eps=eps))
     dar = ad.sub(ar_g, ar_p)
     v = ad.mul(ad.mul(dar, dar), Tensor(4.0 / math.pi ** 2))
-    alpha = ad.stop_gradient(
-        ad.safe_div(v, ad.add(ad.sub(Tensor(np.ones(1)), iou), v), eps=eps))
+    # alpha is a weight, not a path for the gradient: plain numpy, no nodes
+    alpha = Tensor(v.data / (1.0 - iou.data + v.data + eps))
     return ad.sub(iou, ad.add(ad.safe_div(rho2, c2, eps=0.0), ad.mul(alpha, v)))
 
 

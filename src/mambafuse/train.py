@@ -194,6 +194,9 @@ def train(cfg: ModelConfig, tc: TrainConfig, data_dir, ckpt_path,
     ids, rgbs, irs, labels = load_dataset(data_dir)
     if not ids:
         raise IOError(f"dataset at {data_dir} is empty")
+    if rgbs.shape[2:] != (cfg.input_size, cfg.input_size):
+        raise ConfigError(f"images are {rgbs.shape[3]}x{rgbs.shape[2]} px, but the "
+                          f"anchors are laid out for input_size={cfg.input_size}")
     for image_id, boxes in zip(ids, labels):
         for b in boxes:
             if b.class_id >= cfg.num_classes:

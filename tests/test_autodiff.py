@@ -39,22 +39,28 @@ def naive_conv2d(x, w, b, stride, padding):
     return y
 
 
-# ids: stride-padding, then the one-output-channel and no-bias variants
-@pytest.mark.parametrize("stride,padding,cout,bias", [
-    pytest.param(1, 0, 4, True, id="1-0"),
-    pytest.param(1, 1, 4, True, id="1-1"),
-    pytest.param(2, 1, 4, True, id="2-1"),
-    pytest.param(2, 0, 4, True, id="2-0"),
-    pytest.param(1, 3, 1, True, id="1-3-cout1"),
-    pytest.param(2, 1, 1, True, id="2-1-cout1"),
-    pytest.param(2, 0, 1, True, id="2-0-cout1"),
-    pytest.param(1, 1, 1, False, id="1-1-cout1-nobias"),
-    pytest.param(2, 1, 4, False, id="2-1-nobias"),
+# ids: stride-padding, then the one-output-channel and no-bias variants; the
+# last four are conv shapes of the model: a 1x1 conv, the 4x4 stride-4
+# patchify of the IR and the RGB image, and the 7x7 attention conv
+@pytest.mark.parametrize("stride,padding,cout,bias,cin,kernel,hw", [
+    pytest.param(1, 0, 4, True, 3, 3, (7, 6), id="1-0"),
+    pytest.param(1, 1, 4, True, 3, 3, (7, 6), id="1-1"),
+    pytest.param(2, 1, 4, True, 3, 3, (7, 6), id="2-1"),
+    pytest.param(2, 0, 4, True, 3, 3, (7, 6), id="2-0"),
+    pytest.param(1, 3, 1, True, 3, 3, (7, 6), id="1-3-cout1"),
+    pytest.param(2, 1, 1, True, 3, 3, (7, 6), id="2-1-cout1"),
+    pytest.param(2, 0, 1, True, 3, 3, (7, 6), id="2-0-cout1"),
+    pytest.param(1, 1, 1, False, 3, 3, (7, 6), id="1-1-cout1-nobias"),
+    pytest.param(2, 1, 4, False, 3, 3, (7, 6), id="2-1-nobias"),
+    pytest.param(1, 0, 4, True, 3, 1, (7, 6), id="1x1"),
+    pytest.param(4, 0, 4, True, 1, 4, (8, 12), id="patchify-cin1"),
+    pytest.param(4, 0, 4, True, 3, 4, (8, 12), id="patchify-cin3"),
+    pytest.param(1, 3, 1, True, 2, 7, (7, 6), id="7x7-cout1"),
 ])
-def test_conv2d_matches_naive_loop(stride, padding, cout, bias):
+def test_conv2d_matches_naive_loop(stride, padding, cout, bias, cin, kernel, hw):
     r = rng(1)
-    x = r.normal(size=(2, 3, 7, 6)).astype(np.float32)
-    w = r.normal(size=(cout, 3, 3, 3)).astype(np.float32)
+    x = r.normal(size=(2, cin) + hw).astype(np.float32)
+    w = r.normal(size=(cout, cin, kernel, kernel)).astype(np.float32)
     b = r.normal(size=cout).astype(np.float32) if bias else None
     got = ad.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
                     stride, padding).data
@@ -303,14 +309,22 @@ def test_grad_matmul_linear():
         assert grad_check(f, [x, w, b], h=1e-5) < 1e-6
 
 
-@pytest.mark.parametrize("cout,stride,padding", [(1, 1, 3), (1, 2, 1), (3, 2, 1)])
-def test_grad_conv2d(cout, stride, padding):
-    # one output channel takes the per-tap input-gradient path, more the
-    # im2col matrix
+# ids for the 3x3 cases: cout-stride-padding; the last four are the model's
+# conv shapes of test_conv2d_matches_naive_loop
+@pytest.mark.parametrize("cout,stride,padding,cin,kernel,hw", [
+    pytest.param(1, 1, 3, 2, 3, (7, 6), id="1-1-3"),
+    pytest.param(1, 2, 1, 2, 3, (7, 6), id="1-2-1"),
+    pytest.param(3, 2, 1, 2, 3, (7, 6), id="3-2-1"),
+    pytest.param(3, 1, 0, 2, 1, (7, 6), id="1x1"),
+    pytest.param(3, 4, 0, 1, 4, (8, 12), id="patchify-cin1"),
+    pytest.param(3, 4, 0, 3, 4, (8, 12), id="patchify-cin3"),
+    pytest.param(1, 1, 3, 2, 7, (7, 6), id="7x7-cout1"),
+])
+def test_grad_conv2d(cout, stride, padding, cin, kernel, hw):
     with precision("f64"):
         r = rng(10)
-        x = Tensor(r.normal(size=(2, 2, 7, 6)))
-        w = Tensor(r.normal(size=(cout, 2, 3, 3)))
+        x = Tensor(r.normal(size=(2, cin) + hw))
+        w = Tensor(r.normal(size=(cout, cin, kernel, kernel)))
         b = Tensor(r.normal(size=cout))
 
         def f(xi, wi, bi):

@@ -159,6 +159,16 @@ def test_ciou_matches_scalar_reference():
         assert got == pytest.approx(ref_ciou(p, g), abs=1e-5)
 
 
+def test_recorded_ciou_makes_no_nodes_for_alpha():
+    # alpha is a constant weight: computing it with recorded ops would add
+    # three nodes (sub, add, safe_div) that never receive a gradient
+    pred = Tensor(np.array([[0.1, 0.1, 0.5, 0.6], [0.2, 0.3, 0.4, 0.9]]), requires_grad=True)
+    gt = Tensor(np.array([[0.15, 0.1, 0.55, 0.5], [0.2, 0.2, 0.5, 0.8]]))
+    with ad.Tape() as tape:
+        ciou(pred, gt)
+    assert len(tape.nodes) == 49
+
+
 def test_ciou_gradient_is_finite_difference_consistent():
     # the aspect-ratio weight alpha is treated as a constant in the backward
     # pass, so the finite-difference reference must hold it fixed too

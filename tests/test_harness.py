@@ -528,6 +528,71 @@ def test_cli_train_exits_2_on_class_id_beyond_num_classes(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def _train_cli(tmp_path, data, cfg):
+    from mambafuse.cli import main
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(dump_config(cfg, TrainConfig()))
+    return main(["train", "--config", str(cfg_file), "--data", str(data),
+                 "--ckpt", str(tmp_path / "m.ckpt"), "--steps", "1"])
+
+
+def test_cli_train_exits_3_on_index_line_without_four_fields(tmp_path, capsys):
+    data = synth_dataset(0, 2, 64, tmp_path / "data")
+    (data / "index.txt").write_text(
+        "scene_000 scene_000_rgb.ppm scene_000_ir.pgm scene_000_labels.txt\n"
+        "scene_001 scene_001_rgb.ppm scene_001_ir.pgm\n")
+    assert _train_cli(tmp_path, data, tiny_config(input_size=64)) == 3
+    assert "index.txt line 2: expected 4 fields" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_train_exits_3_on_scenes_of_different_sizes(tmp_path, capsys):
+    data = synth_dataset(0, 2, 64, tmp_path / "data")
+    rgb, ir, _ = render_scene(0, 1, 128)
+    write_ppm(data / "scene_001_rgb.ppm", rgb)
+    write_pgm(data / "scene_001_ir.pgm", ir)
+    assert _train_cli(tmp_path, data, tiny_config(input_size=64)) == 3
+    assert "scene_001_rgb.ppm: image size (128, 128) differs" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_train_exits_2_on_image_size_other_than_input_size(tmp_path, capsys):
+    # the anchors are normalised by input_size: 64 px scenes under a 128 px
+    # config would train on wrong targets
+    data = synth_dataset(0, 2, 64, tmp_path / "data")
+    assert _train_cli(tmp_path, data, tiny_config()) == 2
+    assert "input_size=128" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_infer_exits_2_on_image_size_other_than_input_size(tmp_path, capsys):
+    from mambafuse.cli import main
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(dump_config(tiny_config(), TrainConfig()))
+    ckpt = tmp_path / "m.ckpt"
+    checkpoint.save(ckpt, build_detector(tiny_config(), seed=0).state_dict())
+    rgb, ir, _ = render_scene(0, 0, 64)
+    write_ppm(tmp_path / "x_rgb.ppm", rgb)
+    write_pgm(tmp_path / "x_ir.pgm", ir)
+    code = main(["infer", "--config", str(cfg), "--ckpt", str(ckpt),
+                 "--rgb", str(tmp_path / "x_rgb.ppm"), "--ir", str(tmp_path / "x_ir.pgm")])
+    assert code == 2
+    assert "input_size=128" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--size", "0"], ["--size", "100"],
+                                  ["--size", "-64"]], ids=["n0", "size0", "size100", "size-64"])
+def test_cli_synth_exits_2_on_bad_count_or_size(tmp_path, capsys, argv):
+    from mambafuse.cli import main
+    try:
+        code = main(["synth", "--data", str(tmp_path / "data")] + argv)
+    except SystemExit as e:   # argparse rejects the flag itself
+        code = e.code
+    assert code == 2
+    assert argv[0] in capsys.readouterr().err.replace("image size", "--size")
+    assert not (tmp_path / "data").exists()
+
+
 def test_cli_train_rejects_threads_flag(tmp_path):
     from mambafuse.cli import main
     with pytest.raises(SystemExit) as e:
