@@ -7,6 +7,10 @@ forward pass drops it.  Outside every ``Tape`` (or under ``no_grad``)
 nothing is recorded.  ``backward`` consumes the tape.  Arrays are plain
 numpy, float32 by default with a float64 mode for gradient checking.
 
+``conv2d`` is the one convolution kernel: a loop over the kernel taps, each
+a GEMM on a shifted view of the padded input.  A rank-3 weight [C,K,K] makes
+it a depthwise conv, and taps that read only zero padding are skipped.
+
 A closure keeps the arrays that its op's inputs already own and rebuilds
 anything derived from them in the backward (a sigmoid, an argmax, a
 sampler's corner weights) with the same numpy calls in the same order, so
@@ -21,6 +25,7 @@ states.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -442,10 +447,6 @@ def pad2d(a: Tensor, pad: int) -> Tensor:
     return _record(out, (a,), lambda gy: (gy[:, :, pad:-pad, pad:-pad],))
 
 
-def stop_gradient(a: Tensor) -> Tensor:
-    return Tensor(a.data)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -586,20 +587,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with zero padding, one kernel tap at a time.
 
+    weight is [Cout,C,K,K], or [C,K,K] for a depthwise conv: one K x K
+    filter per input channel, so Cout = C.  bias is [Cout] or None.
+
     The taps run channel-major: tap (ky, kx) adds ``W[:,:,ky,kx] . view`` to
     a [Cout,B,Ho,Wo] sum, where the view is the tap's shifted [C,B,Ho,Wo]
-    window of the padded input (an unpadded one is read in place).  The
+    window of the padded input (an unpadded one is read in place); a
+    depthwise tap scales each channel of the view by its own weight.  The
     backward forms ``gW[:,:,ky,kx]`` from the same view and adds
-    ``W_tap^T . g`` into the shifted view of the input gradient.
+    ``W_tap^T . g`` into the shifted view of the input gradient.  A tap
+    whose window lies wholly in the zero padding (on a map smaller than the
+    kernel window) adds only zeros, so it is skipped and its ``gW`` stays zero.
     """
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ConfigError(f"conv2d needs rank-4 input/weight, got {x.shape}/{weight.shape}")
+    depthwise = weight.ndim == 3
+    if x.ndim != 4 or weight.ndim not in (3, 4):
+        raise ConfigError(f"conv2d needs a rank-4 input and a rank-3 or rank-4 weight, "
+                          f"got {x.shape}/{weight.shape}")
     B, C, H, W = x.data.shape
-    Cout, Cin, K, K2 = weight.data.shape
-    if Cin != C:
+    w4 = weight.data[:, None] if depthwise else weight.data   # [Cout,Cin,K,K]
+    Cout, Cin, K, K2 = w4.shape
+    if (Cout if depthwise else Cin) != C:
         raise ConfigError(f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}")
     if K != K2:
         raise ConfigError(f"conv2d kernel must be square, got {weight.shape}")
+    if bias is not None and bias.shape != (Cout,):
+        raise ConfigError(f"conv2d bias {bias.shape} does not fit weight {weight.shape}")
     Ho = conv_out_size(H, K, stride, padding)
     Wo = conv_out_size(W, K, stride, padding)
     if Ho < 1 or Wo < 1:
@@ -609,9 +621,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     xc = x.data.transpose(1, 0, 2, 3)
     if padding:
         xc = np.pad(xc, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    taps = [(ky, kx) for ky in range(K) for kx in range(K)]
-    # [K,K,Cout,C]: each tap's matrix is contiguous, as BLAS needs
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+    taps = _live_taps(K, stride, padding, H, W)
+    # [K,K,Cout,Cin]: each tap's matrix is contiguous, as BLAS needs
+    wt = np.ascontiguousarray(w4.transpose(2, 3, 0, 1))
     y = np.zeros((Cout, B, Ho, Wo), dtype=np.result_type(xc, wt))
     for ky, kx in taps:
         _tap_mac(y, wt[ky, kx], _shifted(xc, ky, kx, Ho, Wo, stride))
@@ -625,19 +637,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     def bw(gy):
         g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3))
         gflat = g.reshape(Cout, -1)
-        gwt = np.empty(wt.shape, dtype=gy.dtype)
+        gwt = np.zeros(wt.shape, dtype=gy.dtype)
         gxc = np.zeros(xc.shape, dtype=gy.dtype) if need_gx else None
         for ky, kx in taps:
             xs = _shifted(xc, ky, kx, Ho, Wo, stride)
-            if Cout == 1:   # a dot per input channel, on the view in place
+            if depthwise:   # a dot per channel
+                gwt[ky, kx, :, 0] = np.einsum("cbhw,cbhw->c", g, xs)
+            elif Cout == 1:   # a dot per input channel, on the view in place
                 gwt[ky, kx, 0] = np.einsum("bhw,cbhw->c", g[0], xs)
             else:
                 gwt[ky, kx] = gflat @ xs.reshape(C, -1).T
             if need_gx:
-                _tap_mac(_shifted(gxc, ky, kx, Ho, Wo, stride), wt[ky, kx].T, g)
+                w_tap = wt[ky, kx] if depthwise else wt[ky, kx].T
+                _tap_mac(_shifted(gxc, ky, kx, Ho, Wo, stride), w_tap, g)
         gx = (None if gxc is None else
               np.ascontiguousarray(_crop(gxc, padding).transpose(1, 0, 2, 3)))
-        gw = gwt.transpose(2, 3, 0, 1)
+        gw = gwt.transpose(2, 3, 0, 1).reshape(weight.shape)
         if bias is not None:
             return (gx, gw, gflat.sum(axis=1))
         return (gx, gw)
@@ -646,56 +661,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     return _record(out, parents, bw)
 
 
+@functools.lru_cache(maxsize=256)
+def _live_taps(K: int, stride: int, padding: int, H: int, W: int) -> tuple:
+    """The taps (ky, kx) whose window reaches the map, not only its zero
+    padding.  Cached: each layer asks for the same shape on every call, and
+    working it out took ~10 us a call on a 2-core Xeon VM, which a batch-1
+    forward pays 98 times."""
+    def live(size, n_out):
+        return [k for k in range(K)
+                if any(padding <= k + i * stride < padding + size for i in range(n_out))]
+
+    return tuple((ky, kx) for ky in live(H, conv_out_size(H, K, stride, padding))
+                 for kx in live(W, conv_out_size(W, K, stride, padding)))
+
+
 def _tap_mac(acc: np.ndarray, w: np.ndarray, xs: np.ndarray) -> None:
     """acc[M,B,Ho,Wo] += w[M,C] . xs[C,B,Ho,Wo] with the batch folded into
     the GEMM's columns.  A GEMM with an inner dimension of 1 is slow, so
-    one input channel is a rank-1 update instead."""
+    one input channel is a rank-1 update instead; a [M,1] weight on an
+    [M,B,Ho,Wo] view (a depthwise tap) scales each channel of it."""
     C = w.shape[1]
     if C == 1:
         acc += w[:, :, None, None] * np.ascontiguousarray(xs)
     else:
         acc += (w @ xs.reshape(C, -1)).reshape(acc.shape)
-
-
-def depthwise_conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel 3x3 cross-correlation with one pixel of zero padding.
-
-    x:[B,C,H,W], weight:[C,3,3], bias:[C].  Nine shifted multiply-adds
-    forward and nine shifted adds backward; the closure holds only the
-    padded input.
-    """
-    if x.ndim != 4:
-        raise ConfigError(f"depthwise conv needs a rank-4 input, got {x.shape}")
-    B, C, H, W = x.data.shape
-    if weight.shape != (C, 3, 3) or bias.shape != (C,):
-        raise ConfigError(
-            f"depthwise weight {weight.shape}/bias {bias.shape} do not fit input {x.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    taps = [(ky, kx) for ky in range(3) for kx in range(3)]
-    w = weight.data.reshape(1, C, 3, 3)
-
-    def w_tap(ky, kx):
-        return w[:, :, ky:ky + 1, kx:kx + 1]   # [1,C,1,1]
-
-    y = _shifted(xp, 0, 0, H, W, 1) * w_tap(0, 0)
-    tmp = np.empty_like(y)
-    for ky, kx in taps[1:]:
-        np.multiply(_shifted(xp, ky, kx, H, W, 1), w_tap(ky, kx), out=tmp)
-        y += tmp
-    y += bias.data.reshape(1, C, 1, 1)
-    out = Tensor(y)
-
-    def bw(gy):
-        gx = np.zeros(xp.shape, dtype=gy.dtype)
-        gw = np.empty((C, 3, 3), dtype=gy.dtype)
-        tmp = np.empty_like(gy)
-        for ky, kx in taps:
-            gw[:, ky, kx] = np.einsum("bchw,bchw->c", gy, _shifted(xp, ky, kx, H, W, 1))
-            np.multiply(gy, w_tap(ky, kx), out=tmp)
-            _shifted(gx, ky, kx, H, W, 1)[...] += tmp
-        return (_crop(gx, 1), gw, gy.sum(axis=(0, 2, 3)))
-
-    return _record(out, (x, weight, bias), bw)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

@@ -37,12 +37,15 @@ def check_grad_elementwise():
 
 def check_grad_conv2d():
     # a 3x3 conv and the model's conv shapes: a 1x1 conv, the 4x4 stride-4
-    # patchify of a one- and a three-channel image, the 7x7 attention conv
+    # patchify of a one- and a three-channel image, the 7x7 attention conv;
+    # then two maps smaller than the kernel window, whose taps that read only
+    # padding are skipped: a 1x1 map, and a 2x2 one at stride 2
     with precision("f64"):
         rng = _rng(2)
         for cin, cout, K, stride, pad, size in ((2, 3, 3, 1, 1, 6), (2, 3, 1, 1, 0, 6),
                                                (1, 3, 4, 4, 0, 8), (3, 3, 4, 4, 0, 8),
-                                               (2, 1, 7, 1, 3, 6)):
+                                               (2, 1, 7, 1, 3, 6), (2, 3, 3, 1, 1, 1),
+                                               (2, 3, 3, 2, 1, 2)):
             x = Tensor(rng.normal(size=(1, cin, size, size)))
             w = Tensor(rng.normal(size=(cout, cin, K, K)))
             b = Tensor(rng.normal(size=cout))
@@ -63,7 +66,7 @@ def check_grad_depthwise():
         b = Tensor(rng.normal(size=3))
 
         def f(xi, wi, bi):
-            return ad.sum_all(ad.sigmoid(ad.depthwise_conv3x3(xi, wi, bi)))
+            return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, 1, 1)))
 
         err = grad_check(f, [x, w, b], h=1e-4)
         assert err < 1e-5, f"depthwise conv grad error {err:.2e}"

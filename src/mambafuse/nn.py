@@ -138,4 +138,4 @@ class DepthwiseConv3x3(Module):
         self.bias = Parameter(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.depthwise_conv3x3(x, self.weight, self.bias)
+        return ad.conv2d(x, self.weight, self.bias, 1, 1)

@@ -74,6 +74,7 @@ def test_fullscale_benchmark_targets_are_not_tested():
 def test_gradient_suite_every_op_and_full_backbone():
     t0 = time.time()
     r = rng(101)
+    r_dw = rng(103)   # the depthwise case's own stream: the others keep their inputs
     with ad.precision("f64"):
         def T(*shape):
             return Tensor(r.normal(size=shape))
@@ -139,6 +140,8 @@ def test_gradient_suite_every_op_and_full_backbone():
              [T(2, 5, 3), Tensor(r.uniform(0.05, 0.5, size=(2, 5, 3))),
               Tensor(-r.uniform(0.2, 1.5, size=(3, 4))), T(2, 5, 4), T(2, 5, 4),
               T(3)]),
+            ("conv2d-depthwise", lambda x, w, b: s(ad.sigmoid(ad.conv2d(x, w, b, 1, 1))),
+             [Tensor(r_dw.normal(size=shape)) for shape in ((1, 2, 4, 4), (2, 3, 3), (2,))]),
         ]
         worst = 0.0
         worst_name = ""

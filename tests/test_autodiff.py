@@ -39,9 +39,10 @@ def naive_conv2d(x, w, b, stride, padding):
     return y
 
 
-# ids: stride-padding, then the one-output-channel and no-bias variants; the
-# last four are conv shapes of the model: a 1x1 conv, the 4x4 stride-4
-# patchify of the IR and the RGB image, and the 7x7 attention conv
+# ids: stride-padding, then the one-output-channel and no-bias variants; then
+# conv shapes of the model: a 1x1 conv, the 4x4 stride-4 patchify of the IR
+# and the RGB image, and the 7x7 attention conv; the last two are maps smaller
+# than the kernel window, where taps that read only padding are skipped
 @pytest.mark.parametrize("stride,padding,cout,bias,cin,kernel,hw", [
     pytest.param(1, 0, 4, True, 3, 3, (7, 6), id="1-0"),
     pytest.param(1, 1, 4, True, 3, 3, (7, 6), id="1-1"),
@@ -56,6 +57,8 @@ def naive_conv2d(x, w, b, stride, padding):
     pytest.param(4, 0, 4, True, 1, 4, (8, 12), id="patchify-cin1"),
     pytest.param(4, 0, 4, True, 3, 4, (8, 12), id="patchify-cin3"),
     pytest.param(1, 3, 1, True, 2, 7, (7, 6), id="7x7-cout1"),
+    pytest.param(1, 1, 4, True, 3, 3, (1, 1), id="dead-taps-1x1-map"),
+    pytest.param(2, 1, 4, True, 3, 3, (2, 2), id="dead-taps-2x2-map-stride2"),
 ])
 def test_conv2d_matches_naive_loop(stride, padding, cout, bias, cin, kernel, hw):
     r = rng(1)
@@ -71,6 +74,13 @@ def test_conv2d_matches_naive_loop(stride, padding, cout, bias, cin, kernel, hw)
 def test_conv2d_rejects_bad_channel_count():
     with pytest.raises(ConfigError):
         ad.conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((3, 4, 3, 3))), None)
+
+
+def test_conv2d_rejects_bias_of_wrong_shape():
+    x, w = Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((3, 2, 3, 3)))
+    for bias_shape in ((5,), (1, 3)):
+        with pytest.raises(ConfigError, match="bias"):
+            ad.conv2d(x, w, Tensor(np.zeros(bias_shape)), 1, 1)
 
 
 def test_max_pool2d_matches_naive_loop():
@@ -218,7 +228,7 @@ def test_depthwise_conv3x3_matches_naive_loop():
     x = r.normal(size=(2, 4, 5, 7)).astype(np.float32)
     w = r.normal(size=(4, 3, 3)).astype(np.float32)
     b = r.normal(size=4).astype(np.float32)
-    got = ad.depthwise_conv3x3(Tensor(x), Tensor(w), Tensor(b)).data
+    got = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 1).data
     np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=1e-5, atol=1e-5)
 
 
@@ -234,8 +244,8 @@ def test_depthwise_module_records_one_tape_node():
 
 def test_depthwise_conv3x3_rejects_mismatched_weight():
     with pytest.raises(ConfigError):
-        ad.depthwise_conv3x3(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 3))),
-                             Tensor(np.zeros(2)))
+        ad.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 3))),
+                  Tensor(np.zeros(2)), 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +319,8 @@ def test_grad_matmul_linear():
         assert grad_check(f, [x, w, b], h=1e-5) < 1e-6
 
 
-# ids for the 3x3 cases: cout-stride-padding; the last four are the model's
-# conv shapes of test_conv2d_matches_naive_loop
+# ids for the 3x3 cases: cout-stride-padding; the others are the model's conv
+# shapes and the dead-tap shapes of test_conv2d_matches_naive_loop
 @pytest.mark.parametrize("cout,stride,padding,cin,kernel,hw", [
     pytest.param(1, 1, 3, 2, 3, (7, 6), id="1-1-3"),
     pytest.param(1, 2, 1, 2, 3, (7, 6), id="1-2-1"),
@@ -319,6 +329,8 @@ def test_grad_matmul_linear():
     pytest.param(3, 4, 0, 1, 4, (8, 12), id="patchify-cin1"),
     pytest.param(3, 4, 0, 3, 4, (8, 12), id="patchify-cin3"),
     pytest.param(1, 1, 3, 2, 7, (7, 6), id="7x7-cout1"),
+    pytest.param(3, 1, 1, 2, 3, (1, 1), id="dead-taps-1x1-map"),
+    pytest.param(3, 2, 1, 2, 3, (2, 2), id="dead-taps-2x2-map-stride2"),
 ])
 def test_grad_conv2d(cout, stride, padding, cin, kernel, hw):
     with precision("f64"):
@@ -372,7 +384,7 @@ def test_grad_depthwise_conv3x3():
         b = Tensor(r.normal(size=3))
 
         def f(xi, wi, bi):
-            return ad.sum_all(ad.sigmoid(ad.depthwise_conv3x3(xi, wi, bi)))
+            return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, 1, 1)))
 
         assert grad_check(f, [x, w, b], h=1e-5) < 1e-6
 
@@ -547,14 +559,6 @@ def test_gradient_accumulates_across_fanout():
         y = ad.add(ad.mul(x, x), ad.mul(x, x))
         ad.backward(tape, ad.sum_all(y))
     np.testing.assert_allclose(x.grad, [12.0])
-
-
-def test_stop_gradient_blocks_flow():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    with Tape() as tape:
-        y = ad.mul(ad.stop_gradient(x), x)
-        ad.backward(tape, ad.sum_all(y))
-    np.testing.assert_allclose(x.grad, [2.0])  # only the live factor
 
 
 def test_rank_limit_enforced():
