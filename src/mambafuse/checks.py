@@ -38,38 +38,26 @@ def check_grad_elementwise():
 def check_grad_conv2d():
     # a 3x3 conv and the model's conv shapes: a 1x1 conv, the 4x4 stride-4
     # patchify of a one- and a three-channel image, the 7x7 attention conv;
-    # then two maps smaller than the kernel window, whose taps that read only
-    # padding are skipped: a 1x1 map, and a 2x2 one at stride 2
+    # two maps smaller than the kernel window, whose taps that read only
+    # padding are skipped: a 1x1 map, and a 2x2 one at stride 2; then a
+    # depthwise 3x3 conv, whose weight is [C,K,K]
     with precision("f64"):
         rng = _rng(2)
-        for cin, cout, K, stride, pad, size in ((2, 3, 3, 1, 1, 6), (2, 3, 1, 1, 0, 6),
-                                               (1, 3, 4, 4, 0, 8), (3, 3, 4, 4, 0, 8),
-                                               (2, 1, 7, 1, 3, 6), (2, 3, 3, 1, 1, 1),
-                                               (2, 3, 3, 2, 1, 2)):
-            x = Tensor(rng.normal(size=(1, cin, size, size)))
-            w = Tensor(rng.normal(size=(cout, cin, K, K)))
-            b = Tensor(rng.normal(size=cout))
+        for x_shape, w_shape, stride, pad in (
+                ((1, 2, 6, 6), (3, 2, 3, 3), 1, 1), ((1, 2, 6, 6), (3, 2, 1, 1), 1, 0),
+                ((1, 1, 8, 8), (3, 1, 4, 4), 4, 0), ((1, 3, 8, 8), (3, 3, 4, 4), 4, 0),
+                ((1, 2, 6, 6), (1, 2, 7, 7), 1, 3), ((1, 2, 1, 1), (3, 2, 3, 3), 1, 1),
+                ((1, 2, 2, 2), (3, 2, 3, 3), 2, 1), ((2, 3, 5, 4), (3, 3, 3), 1, 1)):
+            x = Tensor(rng.normal(size=x_shape))
+            w = Tensor(rng.normal(size=w_shape))
+            b = Tensor(rng.normal(size=w_shape[0]))
 
             def f(xi, wi, bi):
                 return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, stride, pad)))
 
             err = grad_check(f, [x, w, b], h=1e-4)
-            assert err < 1e-5, (f"conv2d grad error {err:.2e} (cin {cin}, cout {cout}, "
-                                f"kernel {K}, stride {stride})")
-
-
-def check_grad_depthwise():
-    with precision("f64"):
-        rng = _rng(13)
-        x = Tensor(rng.normal(size=(2, 3, 5, 4)))
-        w = Tensor(rng.normal(size=(3, 3, 3)))
-        b = Tensor(rng.normal(size=3))
-
-        def f(xi, wi, bi):
-            return ad.sum_all(ad.sigmoid(ad.conv2d(xi, wi, bi, 1, 1)))
-
-        err = grad_check(f, [x, w, b], h=1e-4)
-        assert err < 1e-5, f"depthwise conv grad error {err:.2e}"
+            assert err < 1e-5, (f"conv2d grad error {err:.2e} (input {x_shape}, "
+                                f"weight {w_shape}, stride {stride})")
 
 
 def check_grad_four_way_scan():
@@ -220,7 +208,6 @@ def check_forward_determinism():
 PROPERTIES = [
     ("grad-elementwise", check_grad_elementwise),
     ("grad-conv2d", check_grad_conv2d),
-    ("grad-depthwise", check_grad_depthwise),
     ("grad-four-way-scan", check_grad_four_way_scan),
     ("grad-deformable", check_grad_deformable),
     ("scan-oracle", check_scan_oracle),

@@ -18,24 +18,6 @@ from .nn import Conv2d, Module
 # displacement (dy) and channel 2t+1 the column displacement (dx).
 
 
-class OffsetConv(Conv2d):
-    """Plain conv producing 2*K*K offset channels; zero-initialized."""
-
-    def __init__(self, rng, cin: int, kernel: int, stride: int, padding: int):
-        super().__init__(rng, cin, 2 * kernel * kernel, kernel,
-                         stride=stride, padding=padding, zero_init=True)
-
-
-def predict_offsets(x: Tensor, offset_conv: OffsetConv, stride: int, kernel: int) -> Tensor:
-    if offset_conv.cout != 2 * kernel * kernel:
-        raise ConfigError(
-            f"offset conv must have {2 * kernel * kernel} output channels, "
-            f"has {offset_conv.cout}")
-    if offset_conv.stride != stride or offset_conv.kernel != kernel:
-        raise ConfigError("offset conv kernel/stride must match the deformable conv")
-    return offset_conv(x)
-
-
 def deformable_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
                       offsets: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Convolution whose taps sample at (base location + learned offset)."""
@@ -64,13 +46,8 @@ def deformable_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     ys = ad.add(dy, Tensor(base_y[None]))
     xs = ad.add(dx, Tensor(base_x[None]))
     sampled = ad.grid_sample_taps(x, ys, xs)                    # [B,C*T,Ho,Wo]
-    flat = ad.reshape(sampled, (B, C * T, Ho * Wo))
-    wmat = ad.reshape(weight, (Cout, C * T))
-    y = ad.matmul(wmat, flat)                                   # [B,Cout,Ho*Wo]
-    y = ad.reshape(y, (B, Cout, Ho, Wo))
-    if bias is not None:
-        y = ad.add(y, ad.reshape(bias, (1, Cout, 1, 1)))
-    return y
+    # the sampled columns are a [C*T]-channel map: contract them as a 1x1 conv
+    return ad.conv2d(sampled, ad.reshape(weight, (Cout, C * T, 1, 1)), bias)
 
 
 class DeformableToken(Module):
@@ -81,10 +58,11 @@ class DeformableToken(Module):
         self.kernel, self.stride, self.padding = kernel, stride, padding
         self.norm_conv = Conv2d(rng, cin, cout, kernel, stride=stride, padding=padding)
         self.def_conv = Conv2d(rng, cin, cout, kernel, stride=stride, padding=padding)
-        self.offset_conv = OffsetConv(rng, cin, kernel, stride, padding)
+        self.offset_conv = Conv2d(rng, cin, 2 * kernel * kernel, kernel, stride=stride,
+                                  padding=padding, zero_init=True)
 
     def offsets(self, x: Tensor) -> Tensor:
-        return predict_offsets(x, self.offset_conv, self.stride, self.kernel)
+        return self.offset_conv(x)
 
     def __call__(self, x: Tensor) -> Tensor:
         normal = self.norm_conv(x)

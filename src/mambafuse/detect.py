@@ -3,6 +3,7 @@ decoding, and average-precision evaluation."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,11 @@ from .ssm import MambaBlock
 # Largest distance bin of the box head: each side's distance is a softmax
 # over bins 0..REG_MAX, in units of the level's stride.
 REG_MAX = 7
+
+# Weights of the classification, CIoU box and distribution-focal loss terms.
+LAMBDA_CLS = 0.5
+LAMBDA_BOX = 7.5
+LAMBDA_DFL = 1.5
 
 
 @dataclass
@@ -239,39 +245,13 @@ def ciou(pred: Tensor, gt: Tensor, eps: float = 1e-7) -> Tensor:
     return ad.sub(iou, ad.add(ad.safe_div(rho2, c2, eps=0.0), ad.mul(alpha, v)))
 
 
-class LossInputs:
-    """Flattened per-batch view of predictions plus the anchor geometry."""
-
-    def __init__(self, preds, cfg: ModelConfig):
-        self.cfg = cfg
-        self.levels = []
-        for li, (cls, box) in enumerate(preds):
-            B, nc, H, W = cls.shape
-            R1 = REG_MAX + 1
-            if box.shape[1] != 4 * R1:
-                raise ConfigError(f"box head channels {box.shape[1]} != {4 * R1}")
-            cls_flat = ad.transpose(ad.reshape(cls, (B, nc, H * W)), (0, 2, 1))
-            box_flat = ad.transpose(ad.reshape(box, (B, 4 * R1, H * W)), (0, 2, 1))
-            stride = cfg.level_strides[li]
-            self.levels.append({
-                "cls": cls_flat,                       # [B, A, nc]
-                "box": box_flat,                       # [B, A, 4*(R+1)]
-                "grid": (H, W),
-                "stride": stride,
-                "centers": anchor_centers(H, W, stride, cfg.input_size),
-            })
-
-
-def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
-               lambda_cls: float = 0.5, lambda_box: float = 7.5,
-               lambda_dfl: float = 1.5):
+def total_loss(preds, assignments, gts_batch, cfg: ModelConfig):
     """Weighted sum of classification, box and distribution-focal terms,
     each normalized by the batch's count of assigned (foreground) anchors.
 
     assignments: per image, per level [H*W] arrays from assign_targets.
     Returns (total scalar Tensor, components dict of floats).
     """
-    inputs = LossInputs(preds, cfg)
     R = REG_MAX
     R1 = R + 1
     nc = cfg.num_classes
@@ -282,8 +262,13 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     num_fg = 0
     box_terms = []
     dfl_terms = []
-    for li, lv in enumerate(inputs.levels):
-        B, A, _ = lv["cls"].shape
+    for li, (cls, box) in enumerate(preds):
+        B, _, H, W = cls.shape
+        if box.shape[1] != 4 * R1:
+            raise ConfigError(f"box head channels {box.shape[1]} != {4 * R1}")
+        A = H * W
+        cls_flat = ad.transpose(ad.reshape(cls, (B, nc, A)), (0, 2, 1))      # [B,A,nc]
+        box_flat = ad.transpose(ad.reshape(box, (B, 4 * R1, A)), (0, 2, 1))  # [B,A,4*R1]
         targets = np.zeros((B, A, nc))
         fg_b, fg_a, fg_g = [], [], []
         for bi in range(B):
@@ -295,7 +280,7 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
                 fg_b.append(bi)
                 fg_a.append(ai)
                 fg_g.append(gi)
-        lvl_cls = ad.sum_all(bce_with_logits(lv["cls"], targets))
+        lvl_cls = ad.sum_all(bce_with_logits(cls_flat, targets))
         cls_sum = lvl_cls if cls_sum is None else ad.add(cls_sum, lvl_cls)
 
         if not fg_b:
@@ -303,12 +288,13 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
         num_fg += len(fg_b)
         fb = np.asarray(fg_b)
         fa = np.asarray(fg_a)
-        stride_n = lv["stride"] / S
-        centers = lv["centers"][fa]                      # [F,2] normalized
+        stride = cfg.level_strides[li]
+        stride_n = stride / S
+        centers = anchor_centers(H, W, stride, S)[fa]    # [F,2] normalized
         gt_corners = np.array([gts_batch[b][g].corners()
                                for b, g in zip(fg_b, fg_g)])
 
-        box_logits = ad.reshape(lv["box"][fb, fa], (len(fb), 4, R1))
+        box_logits = ad.reshape(box_flat[fb, fa], (len(fb), 4, R1))
         probs = ad.softmax(box_logits, axis=2)
         dist = ad.sum_axis(ad.mul(probs, Tensor(bins.reshape(1, 1, R1))),
                            axis=2, keepdims=False)       # [F,4] stride units
@@ -350,32 +336,21 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig,
     l_cls = ad.mul(cls_sum, Tensor(1.0 / max(num_fg, 1)))
     if box_terms:
         inv_fg = Tensor(1.0 / num_fg)
-        l_box = ad.mul(_sum_tensors(box_terms), inv_fg)
-        l_dfl = ad.mul(_sum_tensors(dfl_terms), ad.mul(inv_fg, Tensor(0.25)))
+        l_box = ad.mul(functools.reduce(ad.add, box_terms), inv_fg)
+        l_dfl = ad.mul(functools.reduce(ad.add, dfl_terms), ad.mul(inv_fg, Tensor(0.25)))
     else:
         l_box = Tensor(0.0)
         l_dfl = Tensor(0.0)
-    total = ad.add(ad.add(ad.mul(Tensor(lambda_cls), l_cls),
-                          ad.mul(Tensor(lambda_box), l_box)),
-                   ad.mul(Tensor(lambda_dfl), l_dfl))
+    total = ad.add(ad.add(ad.mul(Tensor(LAMBDA_CLS), l_cls),
+                          ad.mul(Tensor(LAMBDA_BOX), l_box)),
+                   ad.mul(Tensor(LAMBDA_DFL), l_dfl))
     comps = {"cls": l_cls.item(), "box": l_box.item(), "dfl": l_dfl.item(),
              "total": total.item()}
     return total, comps
 
 
-def _sum_tensors(ts):
-    out = ts[0]
-    for t in ts[1:]:
-        out = ad.add(out, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # decoding / NMS / evaluation  (pure numpy, inference side)
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
 
 def decode_boxes(preds_np, cfg: ModelConfig, conf_threshold: float = 0.6,
                  iou_nms: float = 0.5) -> list[list[DetectionBox]]:
@@ -392,7 +367,7 @@ def decode_boxes(preds_np, cfg: ModelConfig, conf_threshold: float = 0.6,
             nc, H, W = cls.shape[1:]
             logits = cls[bi].reshape(nc, -1)
             best_cls = logits.argmax(axis=0)
-            conf = _sigmoid(logits.max(axis=0))
+            conf = ad._sigmoid_np(logits.max(axis=0))
             dl = box[bi].reshape(4, R1, -1)
             # softmax expectation over the distance bins
             e = np.exp(dl - dl.max(axis=1, keepdims=True))

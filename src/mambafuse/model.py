@@ -8,22 +8,19 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
 from .detect import DNM, DetectHead
-from .network import FFAR, MDTMB
-from .nn import Module
+from .network import Backbone
 
 
-class Detector(Module):
+class Detector(Backbone):
+    """The backbone's three levels through the neck and the head."""
+
     def __init__(self, rng, cfg: ModelConfig):
-        super().__init__()
-        self.cfg = cfg
-        self.ffar = FFAR(rng, cfg)
-        self.mdtmb = MDTMB(rng, cfg)
+        super().__init__(rng, cfg)
         self.dnm = DNM(rng, cfg)
         self.head = DetectHead(rng, cfg)
 
     def __call__(self, rgb: Tensor, ir: Tensor):
-        p2, p3, p4 = self.mdtmb(self.ffar(rgb, ir))
-        return self.head(self.dnm(p2, p3, p4))
+        return self.head(self.dnm(*super().__call__(rgb, ir)))
 
     def predict_np(self, rgb: np.ndarray, ir: np.ndarray):
         """Inference forward; returns per-level (cls, box) numpy arrays."""

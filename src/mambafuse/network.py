@@ -21,14 +21,11 @@ class DTMB(DeformableToken):
         super().__init__(rng, cin, cout, kernel, stride, padding)
         self.mamba = MambaBlock(rng, cout, d_state=d_state, expand=expand)
 
-    def tokens(self, x: Tensor) -> Tensor:
-        return DeformableToken.__call__(self, x)
-
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[2] % self.stride or x.shape[3] % self.stride:
             raise ConfigError(
                 f"spatial dims {x.shape[2:]} not divisible by stride {self.stride}")
-        return self.mamba(self.tokens(x))
+        return self.mamba(super().__call__(x))
 
 
 class AttentionPack(Module):

@@ -93,8 +93,7 @@ class Conv2d(Module):
                  stride: int = 1, padding: int = 0, bias: bool = True,
                  zero_init: bool = False):
         super().__init__()
-        self.cin, self.cout = cin, cout
-        self.kernel, self.stride, self.padding = kernel, stride, padding
+        self.stride, self.padding = stride, padding
         fan = cin * kernel * kernel
         w = np.zeros((cout, cin, kernel, kernel)) if zero_init else \
             _kaiming(rng, (cout, cin, kernel, kernel), fan)

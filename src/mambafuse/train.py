@@ -14,19 +14,19 @@ from . import checkpoint
 from .autodiff import ConfigError, NumericError, Tape, Tensor
 from .config import ModelConfig, TrainConfig
 from .data import load_dataset
-from .deformable import OffsetConv
+from .deformable import DeformableToken
 from .detect import assign_targets, total_loss
 from .model import Detector, build_detector
 from .nn import Module
 
-# Learning-rate multiple for the parameters of every OffsetConv; Deformable
-# ConvNets (Dai et al. 2017) likewise train their offset layers at their own
-# rate.  The offset convs start at zero and get ~0.2% of the (mostly clipped)
-# global gradient norm early on, and the cosine schedule freezes them by the
-# middle of a run, so at 1x whether the learned displacements pass one pixel
-# depends on the seed.  On the tiny 128 px recipe, 6x took training seeds
-# 0-3 to 7-14 px at train mAP 1.0; 4x, the smallest multiple tried, left
-# seed 2 at 0.7 px.
+# Learning-rate multiple for the offset conv of every DeformableToken;
+# Deformable ConvNets (Dai et al. 2017) likewise train their offset layers at
+# their own rate.  The offset convs start at zero and get ~0.2% of the
+# (mostly clipped) global gradient norm early on, and the cosine schedule
+# freezes them by the middle of a run, so at 1x whether the learned
+# displacements pass one pixel depends on the seed.  On the tiny 128 px
+# recipe, 6x took training seeds 0-3 to 7-14 px at train mAP 1.0; 4x, the
+# smallest multiple tried, left seed 2 at 0.7 px.
 OFFSET_LR_MULT = 6.0
 
 # The fixed YOLOv11-style SGD recipe: a cosine schedule from LR_INITIAL to
@@ -67,10 +67,10 @@ class SGD:
 
     @classmethod
     def for_model(cls, model: Module, momentum: float, weight_decay: float) -> "SGD":
-        """Parameters of every ``OffsetConv`` step at ``OFFSET_LR_MULT`` times
-        the scheduled rate, all others at 1x."""
-        offset = {id(p) for m in model.modules() if isinstance(m, OffsetConv)
-                  for p in m.parameters()}
+        """The ``offset_conv`` parameters of every ``DeformableToken`` step at
+        ``OFFSET_LR_MULT`` times the scheduled rate, all others at 1x."""
+        offset = {id(p) for m in model.modules() if isinstance(m, DeformableToken)
+                  for p in m.offset_conv.parameters()}
         params = model.parameters()
         return cls(params, momentum, weight_decay,
                    [OFFSET_LR_MULT if id(p) in offset else 1.0 for p in params])

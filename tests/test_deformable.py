@@ -7,8 +7,7 @@ import pytest
 
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import ConfigError, Tensor, grad_check, precision
-from mambafuse.deformable import (DeformableToken, OffsetConv,
-                                  deformable_conv2d, predict_offsets)
+from mambafuse.deformable import DeformableToken, deformable_conv2d
 
 
 def rng(salt=0):
@@ -78,20 +77,25 @@ def test_grad_through_offsets_at_fractional_points():
 
 
 def test_offset_conv_starts_at_zero():
-    oc = OffsetConv(rng(4), cin=3, kernel=3, stride=2, padding=1)
-    assert oc.cout == 18
+    tok = DeformableToken(rng(4), cin=3, cout=5, kernel=3, stride=2, padding=1)
+    assert tok.offset_conv.weight.shape == (18, 3, 3, 3)
     x = Tensor(rng(5).normal(size=(1, 3, 8, 8)).astype(np.float32))
-    np.testing.assert_array_equal(predict_offsets(x, oc, 2, 3).data,
+    np.testing.assert_array_equal(tok.offsets(x).data,
                                   np.zeros((1, 18, 4, 4), dtype=np.float32))
 
 
-def test_predict_offsets_validates_geometry():
-    oc = OffsetConv(rng(6), cin=3, kernel=3, stride=1, padding=1)
-    x = Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32))
-    with pytest.raises(ConfigError):
-        predict_offsets(x, oc, stride=2, kernel=3)
-    with pytest.raises(ConfigError):
-        predict_offsets(x, oc, stride=1, kernel=5)
+def test_deformable_conv_records_seven_tape_nodes():
+    # two offset slices, two lattice adds, the sampler, the weight reshape
+    # and the 1x1 conv that contracts the samples and adds the bias
+    r = rng(6)
+    x = Tensor(r.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(r.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(r.normal(size=4).astype(np.float32), requires_grad=True)
+    offs = Tensor(r.uniform(-1, 1, size=(2, 18, 4, 4)).astype(np.float32),
+                  requires_grad=True)
+    with ad.Tape() as tape:
+        deformable_conv2d(x, w, b, offs, 2, 1)
+    assert len(tape) == 7
 
 
 def test_deformable_conv_validates_offset_shape():

@@ -2,11 +2,13 @@
 checked against an independent brute-force or hand-computed oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mambafuse import autodiff as ad
+from mambafuse import detect
 from mambafuse.autodiff import Tensor, grad_check, precision
 from mambafuse.config import tiny_config
 from mambafuse.detect import (LEVEL_RANGES, REG_MAX, DetectionBox, anchor_centers,
@@ -220,14 +222,16 @@ def fake_preds(r, cfg, batch=1):
     return preds
 
 
-def test_total_loss_is_linear_in_lambdas():
+def test_total_loss_is_linear_in_lambdas(monkeypatch):
     cfg = tiny_config()
     r = rng(4)
     gts = [random_boxes(r, 2)]
     assigns = [assign_targets(gts[0], GRIDS, STRIDES, SIZE)]
     preds = fake_preds(r, cfg)
-    _, c1 = total_loss(preds, assigns, gts, cfg, 0.5, 7.5, 1.5)
-    t2, c2 = total_loss(preds, assigns, gts, cfg, 1.0, 15.0, 3.0)
+    _, c1 = total_loss(preds, assigns, gts, cfg)
+    for name in ("LAMBDA_CLS", "LAMBDA_BOX", "LAMBDA_DFL"):
+        monkeypatch.setattr(detect, name, 2 * getattr(detect, name))
+    t2, c2 = total_loss(preds, assigns, gts, cfg)
     assert c2["cls"] == pytest.approx(c1["cls"], rel=1e-6)
     assert c2["box"] == pytest.approx(c1["box"], rel=1e-6)
     assert c2["dfl"] == pytest.approx(c1["dfl"], rel=1e-6)
@@ -358,6 +362,17 @@ def test_decode_clips_boxes_that_overshoot_the_image():
         assert d.w > 0 and d.h > 0
         x1, y1, x2, y2 = d.corners()
         assert min(x1, y1) >= -1e-9 and max(x2, y2) <= 1 + 1e-9
+
+
+def test_decode_takes_large_negative_logits_without_overflow():
+    # a float32 logit below about -88.7 overflowed exp(-x) in a naive sigmoid
+    cfg = tiny_config()
+    R1 = REG_MAX + 1
+    preds = [(np.full((1, cfg.num_classes, gh, gw), -100.0, dtype=np.float32),
+              np.zeros((1, 4 * R1, gh, gw), dtype=np.float32)) for gh, gw in GRIDS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decode_boxes(preds, cfg, conf_threshold=0.5)[0] == []
 
 
 def test_decode_respects_confidence_threshold():

@@ -20,7 +20,7 @@ from mambafuse.config import (ModelConfig, TrainConfig, dump_config,
                               parse_config_text, tiny_config)
 from mambafuse.data import (read_labels, read_pgm, read_ppm, render_scene,
                             synth_dataset, write_labels, write_pgm, write_ppm)
-from mambafuse.deformable import OffsetConv, deformable_conv2d
+from mambafuse.deformable import DeformableToken, deformable_conv2d
 from mambafuse.detect import DetectionBox
 from mambafuse.model import build_detector
 from mambafuse.nn import Conv2d, Module, Parameter
@@ -298,10 +298,11 @@ def test_grad_clip_scales_to_cap():
 
 
 def _offset_and_plain_module():
+    # a plain conv beside a token module, whose offset conv is the one
+    # group that steps at OFFSET_LR_MULT
     m = Module()
     m.plain = Conv2d(rng(30), 2, 18, 3, padding=1)
-    m.inner = Module()
-    m.inner.offset_conv = OffsetConv(rng(31), cin=2, kernel=3, stride=1, padding=1)
+    m.inner = DeformableToken(rng(31), cin=2, cout=3, kernel=3, stride=1, padding=1)
     return m
 
 
@@ -788,3 +789,24 @@ def test_source_modules_use_every_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_source_defines_nothing_unreferenced():
+    # a public module-level function or class that no source module, the
+    # benchmark or the acceptance suite reads is dead weight;
+    # config.dump_config is kept for the config round-trip tests
+    root = Path(__file__).resolve().parent.parent
+    readers = sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    read = set()
+    for path in readers + [root / "tests" / "test_acceptance.py"]:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    unread = {f"{path.stem}.{n.name}"
+              for path in (root / "src" / "mambafuse").glob("*.py")
+              for n in ast.parse(path.read_text()).body
+              if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+              and not n.name.startswith("_") and n.name not in read}
+    assert unread == {"config.dump_config"}

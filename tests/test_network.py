@@ -7,6 +7,7 @@ import pytest
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import ConfigError, Tensor, no_grad
 from mambafuse.config import ModelConfig, tiny_config
+from mambafuse.deformable import DeformableToken
 from mambafuse.detect import DNM, REG_MAX, DetectHead, SPPFMamba
 from mambafuse.model import build_detector
 from mambafuse.network import DTMB, FFAR, MDTMB, Backbone
@@ -165,7 +166,7 @@ def test_dtmb_token_then_scan_composition():
     stage = DTMB(rng(21), 3, 8, 3, 2, 1, cfg.ssm_state, cfg.ssm_expand)
     x = Tensor(rng(22).normal(size=(1, 3, 8, 8)).astype(np.float32))
     with no_grad():
-        want = stage.mamba(stage.tokens(x)).data
+        want = stage.mamba(DeformableToken.__call__(stage, x)).data
         np.testing.assert_array_equal(stage(x).data, want)
     with pytest.raises(ConfigError):
         stage(Tensor(np.zeros((1, 3, 7, 7), dtype=np.float32)))
