@@ -17,7 +17,7 @@ from . import checkpoint
 from .autodiff import ConfigError, UsageError, set_default_dtype
 from .checkpoint import CheckpointError
 from .checks import run_checks
-from .config import ModelConfig, TrainConfig, load_config
+from .config import SEED_MAX, ModelConfig, TrainConfig, load_config
 from .data import load_dataset, read_pgm, read_ppm, synth_dataset
 from .detect import DetectionBox, decode_boxes, eval_map
 from .model import build_detector
@@ -138,12 +138,15 @@ def cmd_check(args) -> int:
     return 0 if run_checks() else 1
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than ``low`` (argparse exits 2 otherwise)."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an int no smaller than ``low`` and, given ``high``, no
+    larger than it (argparse exits 2 otherwise)."""
     def parse(raw: str) -> int:
         value = int(raw)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"
     return parse
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, ckpt=False, config=False, pair=False):
-        sp.add_argument("--seed", type=_int_at_least(0), default=None)
+        sp.add_argument("--seed", type=_int_at_least(0, SEED_MAX), default=None)
         if config:
             sp.add_argument("--config", type=str, default=None,
                             help="key=value config file")

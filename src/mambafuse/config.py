@@ -23,7 +23,8 @@ class ModelConfig:
             raise ConfigError("exactly four stage widths are required")
         sizes = dict(input_size=self.input_size, ffar_stride=self.ffar_stride,
                      base_width=self.base_width, stage_widths=min(self.stage_widths),
-                     ssm_state=self.ssm_state, ssm_expand=self.ssm_expand)
+                     ssm_state=self.ssm_state, ssm_expand=self.ssm_expand,
+                     num_classes=self.num_classes)
         for name, value in sizes.items():
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -42,6 +43,9 @@ class ModelConfig:
         s = self.ffar_stride
         return (s * 4, s * 8, s * 16)
 
+
+# seeds key 64-bit Philox streams
+SEED_MAX = 2 ** 64 - 1
 
 TINY = dict(base_width=8, stage_widths=(16, 24, 32, 48), ssm_state=4)
 
@@ -69,6 +73,8 @@ class TrainConfig:
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}, "
                                   f"got {getattr(self, name)}")
+        if self.seed > SEED_MAX:
+            raise ConfigError(f"seed must be at most {SEED_MAX}, got {self.seed}")
 
 
 _MODEL_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}

@@ -68,8 +68,5 @@ class DeformableToken(Module):
         normal = self.norm_conv(x)
         deform = deformable_conv2d(x, self.def_conv.weight, self.def_conv.bias,
                                    self.offsets(x), self.stride, self.padding)
-        if normal.shape != deform.shape:
-            raise ConfigError(
-                f"branch shapes disagree: {normal.shape} vs {deform.shape}")
         return ad.add(normal, deform)
 

@@ -3,7 +3,6 @@ decoding, and average-precision evaluation."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -171,41 +170,44 @@ def route_level(box: DetectionBox) -> int:
     return 2
 
 
+def anchor_table(grids, strides, image_size: int):
+    """Every anchor of every level, level-major: normalized (cx, cy) centers
+    [A,2], stride [A] and level index [A]."""
+    centers = [anchor_centers(gh, gw, stride, image_size)
+               for (gh, gw), stride in zip(grids, strides)]
+    sizes = [len(c) for c in centers]
+    return (np.concatenate(centers), np.repeat(strides, sizes),
+            np.repeat(np.arange(len(sizes)), sizes))
+
+
 def assign_targets(gts: list[DetectionBox], grids: list[tuple[int, int]],
-                   strides, image_size: int) -> list[np.ndarray]:
-    """Center-prior assignment: per level a [H*W] int array of GT index or -1.
+                   strides, image_size: int) -> np.ndarray:
+    """Center-prior assignment: a level-major [A] int array (the layout of
+    ``anchor_table``) of GT index or -1.
 
     Rule: an anchor is a candidate for a GT when its center lies inside the
-    GT box and the GT's scale routes to that level; each candidate anchor
-    takes the nearest GT center (ties -> lower GT index).  A routed GT left
+    GT box and the GT's scale routes to the anchor's level; each candidate
+    anchor takes the nearest GT center (ties -> lower GT index).  A GT left
     with no anchor claims the nearest still-background anchor on its level,
     so every GT is trainable even on coarse grids.
     """
-    out = []
-    routed = [route_level(g) for g in gts]
-    for li, ((gh, gw), stride) in enumerate(zip(grids, strides)):
-        centers = anchor_centers(gh, gw, stride, image_size)
-        assign = np.full(gh * gw, -1, dtype=np.int64)
-        best_d2 = np.full(gh * gw, np.inf)
-        for gi, g in enumerate(gts):
-            if routed[gi] != li:
-                continue
-            inside = (np.abs(centers[:, 0] - g.cx) < g.w / 2) & \
-                     (np.abs(centers[:, 1] - g.cy) < g.h / 2)
-            d2 = (centers[:, 0] - g.cx) ** 2 + (centers[:, 1] - g.cy) ** 2
-            take = inside & (d2 < best_d2)  # strict: ties stay with lower index
-            assign[take] = gi
-            best_d2[take] = d2[take]
-        for gi, g in enumerate(gts):
-            if routed[gi] != li or np.any(assign == gi):
-                continue
-            d2 = (centers[:, 0] - g.cx) ** 2 + (centers[:, 1] - g.cy) ** 2
-            free = assign < 0
-            if free.any():
-                cand = np.where(free)[0]
-                assign[cand[np.argmin(d2[free])]] = gi
-        out.append(assign)
-    return out
+    centers, _, level = anchor_table(grids, strides, image_size)
+    assign = np.full(len(level), -1, dtype=np.int64)
+    best_d2 = np.full(len(level), np.inf)
+    on_level = [level == route_level(g) for g in gts]
+    d2 = [(centers[:, 0] - g.cx) ** 2 + (centers[:, 1] - g.cy) ** 2 for g in gts]
+    for gi, g in enumerate(gts):
+        inside = on_level[gi] & (np.abs(centers[:, 0] - g.cx) < g.w / 2) & \
+                 (np.abs(centers[:, 1] - g.cy) < g.h / 2)
+        take = inside & (d2[gi] < best_d2)  # strict: ties stay with lower index
+        assign[take] = gi
+        best_d2[take] = d2[gi][take]
+    for gi in range(len(gts)):
+        free = on_level[gi] & (assign < 0)
+        if free.any() and not np.any(assign == gi):
+            cand = np.flatnonzero(free)
+            assign[cand[np.argmin(d2[gi][free])]] = gi
+    return assign
 
 
 # ---------------------------------------------------------------------------
@@ -249,95 +251,37 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig):
     """Weighted sum of classification, box and distribution-focal terms,
     each normalized by the batch's count of assigned (foreground) anchors.
 
-    assignments: per image, per level [H*W] arrays from assign_targets.
+    assignments: per image, the level-major [A] array of assign_targets.
     Returns (total scalar Tensor, components dict of floats).
     """
-    R = REG_MAX
-    R1 = R + 1
-    nc = cfg.num_classes
-    S = cfg.input_size
-    bins = np.arange(R1, dtype=np.float64)
-
-    cls_sum = None
-    num_fg = 0
-    box_terms = []
-    dfl_terms = []
-    for li, (cls, box) in enumerate(preds):
-        B, _, H, W = cls.shape
+    R1 = REG_MAX + 1
+    B, nc = preds[0][0].shape[:2]
+    for _, box in preds:
         if box.shape[1] != 4 * R1:
             raise ConfigError(f"box head channels {box.shape[1]} != {4 * R1}")
-        A = H * W
-        cls_flat = ad.transpose(ad.reshape(cls, (B, nc, A)), (0, 2, 1))      # [B,A,nc]
-        box_flat = ad.transpose(ad.reshape(box, (B, 4 * R1, A)), (0, 2, 1))  # [B,A,4*R1]
-        targets = np.zeros((B, A, nc))
-        fg_b, fg_a, fg_g = [], [], []
-        for bi in range(B):
-            assign = assignments[bi][li]
-            fg = np.where(assign >= 0)[0]
-            for ai in fg:
-                gi = assign[ai]
-                targets[bi, ai, gts_batch[bi][gi].class_id] = 1.0
-                fg_b.append(bi)
-                fg_a.append(ai)
-                fg_g.append(gi)
-        lvl_cls = ad.sum_all(bce_with_logits(cls_flat, targets))
-        cls_sum = lvl_cls if cls_sum is None else ad.add(cls_sum, lvl_cls)
+    centers, stride, _ = anchor_table([cls.shape[2:] for cls, _ in preds],
+                                      cfg.level_strides, cfg.input_size)
+    cls_all = ad.concat([ad.reshape(cls, (B, nc, -1)) for cls, _ in preds], axis=2)
+    box_all = ad.concat([ad.reshape(box, (B, 4 * R1, -1)) for _, box in preds], axis=2)
 
-        if not fg_b:
-            continue
-        num_fg += len(fg_b)
-        fb = np.asarray(fg_b)
-        fa = np.asarray(fg_a)
-        stride = cfg.level_strides[li]
-        stride_n = stride / S
-        centers = anchor_centers(H, W, stride, S)[fa]    # [F,2] normalized
-        gt_corners = np.array([gts_batch[b][g].corners()
-                               for b, g in zip(fg_b, fg_g)])
-
-        box_logits = ad.reshape(box_flat[fb, fa], (len(fb), 4, R1))
-        probs = ad.softmax(box_logits, axis=2)
-        dist = ad.sum_axis(ad.mul(probs, Tensor(bins.reshape(1, 1, R1))),
-                           axis=2, keepdims=False)       # [F,4] stride units
-        dist_n = ad.mul(dist, Tensor(stride_n))
-        cx = Tensor(centers[:, 0])
-        cy = Tensor(centers[:, 1])
-        pred_corners = ad.concat([
-            ad.reshape(ad.sub(cx, dist_n[:, 0]), (-1, 1)),
-            ad.reshape(ad.sub(cy, dist_n[:, 1]), (-1, 1)),
-            ad.reshape(ad.add(cx, dist_n[:, 2]), (-1, 1)),
-            ad.reshape(ad.add(cy, dist_n[:, 3]), (-1, 1)),
-        ], axis=1)
-        one = Tensor(np.ones(1))
-        box_terms.append(ad.sum_all(ad.sub(one, ciou(pred_corners, Tensor(gt_corners)))))
-
-        # integral-bin regression targets: left/top/right/bottom distances
-        t = np.stack([
-            centers[:, 0] - gt_corners[:, 0],
-            centers[:, 1] - gt_corners[:, 1],
-            gt_corners[:, 2] - centers[:, 0],
-            gt_corners[:, 3] - centers[:, 1],
-        ], axis=1) / stride_n
-        t = np.clip(t, 0.0, R - 0.01)
-        tl = np.floor(t)
-        wl = tl + 1.0 - t
-        logsm = ad.log_softmax(box_logits, axis=2)
-        onehot_l = np.zeros((len(fb), 4, R1))
-        onehot_r = np.zeros((len(fb), 4, R1))
-        fi = np.arange(len(fb))[:, None]
-        si = np.arange(4)[None, :]
-        onehot_l[fi, si, tl.astype(np.int64)] = wl
-        onehot_r[fi, si, tl.astype(np.int64) + 1] = 1.0 - wl
-        dfl = ad.neg(ad.sum_all(ad.mul(logsm, Tensor(onehot_l + onehot_r))))
-        dfl_terms.append(dfl)
-
+    assign = np.stack(assignments)                       # [B,A]
+    fb, fa = np.nonzero(assign >= 0)
+    fg_gts = [gts_batch[b][g] for b, g in zip(fb, assign[fb, fa])]
+    targets = np.zeros(cls_all.shape)                    # [B,nc,A]
+    targets[fb, [g.class_id for g in fg_gts], fa] = 1.0
     # normalize the summed one-vs-all BCE by the foreground count, not the
     # anchor*class element count: a handful of positives must not be drowned
     # out by thousands of easy background terms
-    l_cls = ad.mul(cls_sum, Tensor(1.0 / max(num_fg, 1)))
-    if box_terms:
+    num_fg = len(fb)
+    l_cls = ad.mul(ad.sum_all(bce_with_logits(cls_all, targets)),
+                   Tensor(1.0 / max(num_fg, 1)))
+    if num_fg:
+        box_sum, dfl_sum = _box_terms(ad.reshape(box_all[fb, :, fa], (num_fg, 4, R1)),
+                                      centers[fa], stride[fa] / cfg.input_size,
+                                      np.array([g.corners() for g in fg_gts]))
         inv_fg = Tensor(1.0 / num_fg)
-        l_box = ad.mul(functools.reduce(ad.add, box_terms), inv_fg)
-        l_dfl = ad.mul(functools.reduce(ad.add, dfl_terms), ad.mul(inv_fg, Tensor(0.25)))
+        l_box = ad.mul(box_sum, inv_fg)
+        l_dfl = ad.mul(dfl_sum, ad.mul(inv_fg, Tensor(0.25)))
     else:
         l_box = Tensor(0.0)
         l_dfl = Tensor(0.0)
@@ -349,6 +293,40 @@ def total_loss(preds, assignments, gts_batch, cfg: ModelConfig):
     return total, comps
 
 
+def _box_terms(logits: Tensor, centers: np.ndarray, stride_n: np.ndarray,
+               gt_corners: np.ndarray):
+    """Summed (1 - CIoU) and summed DFL of F foreground anchors.
+
+    logits: [F,4,REG_MAX+1] distance-bin logits (left, top, right, bottom);
+    centers: [F,2] and stride_n: [F] normalized anchor centers and strides;
+    gt_corners: [F,4] normalized (x1,y1,x2,y2) of each anchor's GT.
+    """
+    R = REG_MAX
+    bins = np.arange(R + 1, dtype=np.float64)
+    probs = ad.softmax(logits, axis=2)
+    dist = ad.sum_axis(ad.mul(probs, Tensor(bins.reshape(1, 1, R + 1))),
+                       axis=2, keepdims=False)           # [F,4] stride units
+    anchor = np.concatenate([centers, centers], axis=1)  # (cx,cy,cx,cy)
+    signs = np.array([-1.0, -1.0, 1.0, 1.0])
+    pred_corners = ad.add(Tensor(anchor), ad.mul(dist, Tensor(stride_n[:, None] * signs)))
+    one = Tensor(np.ones(1))
+    box_sum = ad.sum_all(ad.sub(one, ciou(pred_corners, Tensor(gt_corners))))
+
+    # integral-bin regression targets: left/top/right/bottom distances
+    t = (gt_corners - anchor) * signs / stride_n[:, None]
+    t = np.clip(t, 0.0, R - 0.01)
+    tl = np.floor(t)
+    wl = tl + 1.0 - t
+    onehot = np.zeros(logits.shape)
+    fi = np.arange(len(t))[:, None]
+    si = np.arange(4)[None, :]
+    onehot[fi, si, tl.astype(np.int64)] = wl
+    onehot[fi, si, tl.astype(np.int64) + 1] = 1.0 - wl
+    logsm = ad.log_softmax(logits, axis=2)
+    dfl_sum = ad.neg(ad.sum_all(ad.mul(logsm, Tensor(onehot))))
+    return box_sum, dfl_sum
+
+
 # ---------------------------------------------------------------------------
 # decoding / NMS / evaluation  (pure numpy, inference side)
 
@@ -358,35 +336,29 @@ def decode_boxes(preds_np, cfg: ModelConfig, conf_threshold: float = 0.6,
     DetectionBox list per batch image after thresholding and class-wise NMS."""
     R1 = REG_MAX + 1
     S = cfg.input_size
-    B = preds_np[0][0].shape[0]
+    B, nc = preds_np[0][0].shape[:2]
+    centers, stride, _ = anchor_table([cls.shape[2:] for cls, _ in preds_np],
+                                      cfg.level_strides, S)
+    centers = centers * S
+    cls_all = np.concatenate([cls.reshape(B, nc, -1) for cls, _ in preds_np], axis=2)
+    box_all = np.concatenate([box.reshape(B, 4, R1, -1) for _, box in preds_np], axis=3)
     out = []
-    for bi in range(B):
-        cand = []
-        for li, (cls, box) in enumerate(preds_np):
-            stride = cfg.level_strides[li]
-            nc, H, W = cls.shape[1:]
-            logits = cls[bi].reshape(nc, -1)
-            best_cls = logits.argmax(axis=0)
-            conf = ad._sigmoid_np(logits.max(axis=0))
-            dl = box[bi].reshape(4, R1, -1)
-            # softmax expectation over the distance bins
-            e = np.exp(dl - dl.max(axis=1, keepdims=True))
-            probs = e / e.sum(axis=1, keepdims=True)
-            dist = (probs * np.arange(R1)[None, :, None]).sum(axis=1) * stride
-            centers = anchor_centers(H, W, stride, S) * S
-            # clip to the image, so coordinates stay normalized to [0,1]
-            x1 = np.clip(centers[:, 0] - dist[0], 0, S)
-            y1 = np.clip(centers[:, 1] - dist[1], 0, S)
-            x2 = np.clip(centers[:, 0] + dist[2], 0, S)
-            y2 = np.clip(centers[:, 1] + dist[3], 0, S)
-            keep = conf >= conf_threshold
-            for ai in np.where(keep)[0]:
-                cx = (x1[ai] + x2[ai]) / 2 / S
-                cy = (y1[ai] + y2[ai]) / 2 / S
-                w = (x2[ai] - x1[ai]) / S
-                h = (y2[ai] - y1[ai]) / S
-                cand.append(DetectionBox(cx, cy, w, h, int(best_cls[ai]),
-                                         float(conf[ai])))
+    for logits, dl in zip(cls_all, box_all):
+        best_cls = logits.argmax(axis=0)
+        conf = ad._sigmoid_np(logits.max(axis=0))
+        # softmax expectation over the distance bins
+        e = np.exp(dl - dl.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        dist = (probs * np.arange(R1)[None, :, None]).sum(axis=1) * stride
+        # clip to the image, so coordinates stay normalized to [0,1]
+        x1 = np.clip(centers[:, 0] - dist[0], 0, S)
+        y1 = np.clip(centers[:, 1] - dist[1], 0, S)
+        x2 = np.clip(centers[:, 0] + dist[2], 0, S)
+        y2 = np.clip(centers[:, 1] + dist[3], 0, S)
+        cx, cy = (x1 + x2) / 2 / S, (y1 + y2) / 2 / S
+        w, h = (x2 - x1) / S, (y2 - y1) / S
+        cand = [DetectionBox(cx[ai], cy[ai], w[ai], h[ai], int(best_cls[ai]), float(conf[ai]))
+                for ai in np.flatnonzero(conf >= conf_threshold)]
         out.append(nms(cand, iou_nms))
     return out
 

@@ -76,9 +76,6 @@ class ModuleList(Module):
     def __iter__(self):
         return iter(self._list)
 
-    def __getitem__(self, i):
-        return self._list[i]
-
     def __len__(self):
         return len(self._list)
 

@@ -12,8 +12,8 @@ from mambafuse import detect
 from mambafuse.autodiff import Tensor, grad_check, precision
 from mambafuse.config import tiny_config
 from mambafuse.detect import (LEVEL_RANGES, REG_MAX, DetectionBox, anchor_centers,
-                              assign_targets, bce_with_logits, box_iou, ciou,
-                              decode_boxes, eval_map, nms, route_level,
+                              anchor_table, assign_targets, bce_with_logits, box_iou,
+                              ciou, decode_boxes, eval_map, nms, route_level,
                               total_loss)
 
 
@@ -27,7 +27,8 @@ SIZE = 128
 
 
 def brute_force_assign(gts, grids, strides, image_size):
-    """Literal restatement of the assignment rule, anchor by anchor."""
+    """Literal restatement of the assignment rule, anchor by anchor, level by
+    level; the levels' arrays are joined level-major."""
     routed = [route_level(g) for g in gts]
     out = []
     for li, ((gh, gw), stride) in enumerate(zip(grids, strides)):
@@ -55,8 +56,8 @@ def brute_force_assign(gts, grids, strides, image_size):
                     cx = ((ai % gw) + 0.5) * stride / image_size
                     return (cx - g.cx) ** 2 + (cy - g.cy) ** 2
                 assign[min(free, key=d2)] = gi
-        out.append(np.array(assign))
-    return out
+        out.extend(assign)
+    return np.array(out)
 
 
 def random_boxes(r, n):
@@ -80,8 +81,7 @@ def test_assigner_matches_brute_force():
         gts = random_boxes(rng(salt), int(rng(salt).integers(1, 5)))
         got = assign_targets(gts, GRIDS, STRIDES, SIZE)
         want = brute_force_assign(gts, GRIDS, STRIDES, SIZE)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_route_level_thresholds():
@@ -95,9 +95,7 @@ def test_every_gt_gets_at_least_one_anchor():
     for salt in range(20, 30):
         gts = random_boxes(rng(salt), 3)
         assigns = assign_targets(gts, GRIDS, STRIDES, SIZE)
-        claimed = set()
-        for a in assigns:
-            claimed.update(int(g) for g in a[a >= 0])
+        claimed = {int(g) for g in assigns[assigns >= 0]}
         assert claimed == set(range(len(gts)))
 
 
@@ -105,6 +103,13 @@ def test_anchor_centers_are_cell_midpoints():
     c = anchor_centers(2, 2, 64, 128)
     want = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
     np.testing.assert_allclose(c, want)
+    # the table joins the levels' anchors level-major
+    centers, stride, level = anchor_table(GRIDS, STRIDES, SIZE)
+    sizes = [gh * gw for gh, gw in GRIDS]
+    np.testing.assert_array_equal(centers, np.concatenate(
+        [anchor_centers(gh, gw, s, SIZE) for (gh, gw), s in zip(GRIDS, STRIDES)]))
+    np.testing.assert_array_equal(stride, np.repeat(STRIDES, sizes))
+    np.testing.assert_array_equal(level, np.repeat([0, 1, 2], sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +138,26 @@ def test_ciou_disjoint_below_overlapping():
     assert ciou(near, gt).data[0] > ciou(far, gt).data[0]
 
 
+def ref_ciou(p, g):
+    """Scalar CIoU of two (x1, y1, x2, y2) boxes."""
+    px1, py1, px2, py2 = p
+    gx1, gy1, gx2, gy2 = g
+    iw = max(0.0, min(px2, gx2) - max(px1, gx1))
+    ih = max(0.0, min(py2, gy2) - max(py1, gy1))
+    inter = iw * ih
+    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
+    iou = inter / union
+    cw = max(px2, gx2) - min(px1, gx1)
+    ch = max(py2, gy2) - min(py1, gy1)
+    c2 = cw * cw + ch * ch + 1e-7
+    rho2 = ((px1 + px2 - gx1 - gx2) / 2) ** 2 + ((py1 + py2 - gy1 - gy2) / 2) ** 2
+    v = (4 / math.pi ** 2) * (math.atan((gx2 - gx1) / (gy2 - gy1 + 1e-7))
+                              - math.atan((px2 - px1) / (py2 - py1 + 1e-7))) ** 2
+    alpha = v / (1 - iou + v + 1e-7)
+    return iou - rho2 / c2 - alpha * v
+
+
 def test_ciou_matches_scalar_reference():
-    def ref_ciou(p, g):
-        px1, py1, px2, py2 = p
-        gx1, gy1, gx2, gy2 = g
-        iw = max(0.0, min(px2, gx2) - max(px1, gx1))
-        ih = max(0.0, min(py2, gy2) - max(py1, gy1))
-        inter = iw * ih
-        union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
-        iou = inter / union
-        cw = max(px2, gx2) - min(px1, gx1)
-        ch = max(py2, gy2) - min(py1, gy1)
-        c2 = cw * cw + ch * ch + 1e-7
-        rho2 = ((px1 + px2 - gx1 - gx2) / 2) ** 2 + ((py1 + py2 - gy1 - gy2) / 2) ** 2
-        v = (4 / math.pi ** 2) * (math.atan((gx2 - gx1) / (gy2 - gy1 + 1e-7))
-                                  - math.atan((px2 - px1) / (py2 - py1 + 1e-7))) ** 2
-        alpha = v / (1 - iou + v + 1e-7)
-        return iou - rho2 / c2 - alpha * v
     r = rng(3)
     for _ in range(10):
         p = np.sort(r.uniform(0, 1, size=4)).reshape(2, 2).T.ravel()  # x1<x2, y1<y2
@@ -242,7 +250,7 @@ def test_total_loss_without_foreground_has_zero_box_terms():
     cfg = tiny_config()
     r = rng(5)
     preds = fake_preds(r, cfg)
-    assigns = [[np.full(gh * gw, -1, dtype=np.int64) for gh, gw in GRIDS]]
+    assigns = [np.full(sum(gh * gw for gh, gw in GRIDS), -1, dtype=np.int64)]
     total, comps = total_loss(preds, assigns, [[]], cfg)
     assert comps["box"] == 0.0 and comps["dfl"] == 0.0
     assert comps["total"] == pytest.approx(0.5 * comps["cls"], rel=1e-6)
@@ -257,16 +265,70 @@ def test_cls_loss_oracle_summed_bce_per_foreground():
     _, comps = total_loss(preds, assigns, gts, cfg)
     # rebuild the target tensor, sum BCE by hand, divide by foreground count
     acc, n_fg = 0.0, 0
-    for li, (cls, _) in enumerate(preds):
+    a = assigns[0]
+    first = 0
+    for cls, _ in preds:
         z = cls.data[0].reshape(cfg.num_classes, -1).T  # [A, nc]
         y = np.zeros_like(z)
-        a = assigns[0][li]
-        for ai in np.where(a >= 0)[0]:
-            y[ai, gts[0][a[ai]].class_id] = 1.0
-            n_fg += 1
+        for ai in range(len(z)):
+            if a[first + ai] >= 0:
+                y[ai, gts[0][a[first + ai]].class_id] = 1.0
+                n_fg += 1
+        first += len(z)
         p = 1 / (1 + np.exp(-z.astype(np.float64)))
         acc += float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
     assert comps["cls"] == pytest.approx(acc / max(n_fg, 1), rel=1e-4)
+
+
+def numpy_box_terms(preds, assigns, gts_batch):
+    """Mean (1 - CIoU) and quarter-mean DFL, anchor by anchor and level by
+    level in plain float64 numpy."""
+    R1 = REG_MAX + 1
+    box, dfl, n_fg = 0.0, 0.0, 0
+    for bi, a in enumerate(assigns):
+        first = 0
+        for (_, dist), (gh, gw), stride in zip(preds, GRIDS, STRIDES):
+            logits = dist.data[bi].astype(np.float64).reshape(4, R1, gh * gw)
+            for ai in range(gh * gw):
+                gi = a[first + ai]
+                if gi < 0:
+                    continue
+                iy, ix = divmod(ai, gw)
+                cx, cy = (ix + 0.5) * stride / SIZE, (iy + 0.5) * stride / SIZE
+                z = logits[:, :, ai] - logits[:, :, ai].max(axis=1, keepdims=True)
+                logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+                d = (np.exp(logp) * np.arange(R1)).sum(axis=1) * stride / SIZE
+                g = gts_batch[bi][gi].corners()
+                box += 1.0 - ref_ciou([cx - d[0], cy - d[1], cx + d[2], cy + d[3]], g)
+                t = np.array([cx - g[0], cy - g[1], g[2] - cx, g[3] - cy]) * SIZE / stride
+                for k, tk in enumerate(np.clip(t, 0.0, REG_MAX - 0.01)):
+                    lo = int(tk)
+                    dfl -= (lo + 1 - tk) * logp[k, lo] + (tk - lo) * logp[k, lo + 1]
+                n_fg += 1
+            first += gh * gw
+    return box / n_fg, dfl / n_fg / 4
+
+
+def test_total_loss_takes_one_pass_over_positives_on_every_level():
+    # box sides 0.06, 0.2 and 0.5 route to levels 0, 1 and 2: one CIoU (one
+    # recorded arctan; the GT's arctan is a constant) serves all of them
+    cfg = tiny_config()
+    gts = [[DetectionBox(0.3, 0.3, 0.06, 0.06, 1), DetectionBox(0.55, 0.6, 0.5, 0.5, 3)],
+           [DetectionBox(0.4, 0.65, 0.2, 0.2, 0)]]
+    assigns = [assign_targets(g, GRIDS, STRIDES, SIZE) for g in gts]
+    _, _, level = anchor_table(GRIDS, STRIDES, SIZE)
+    assert {int(lv) for a in assigns for lv in level[a >= 0]} == {0, 1, 2}
+    with precision("f64"):
+        r = rng(7)
+        preds = [tuple(Tensor(r.normal(size=(2, c, gh, gw)), requires_grad=True)
+                       for c in (cfg.num_classes, 4 * (REG_MAX + 1)))
+                 for gh, gw in GRIDS]
+        with ad.Tape() as tape:
+            _, comps = total_loss(preds, assigns, gts, cfg)
+    assert sum(n.fn.__qualname__.startswith("arctan.") for n in tape.nodes) == 1
+    box, dfl = numpy_box_terms(preds, assigns, gts)
+    assert comps["box"] == pytest.approx(box, rel=1e-5)
+    assert comps["dfl"] == pytest.approx(dfl, rel=1e-5)
 
 
 def test_dfl_uniform_logits_expect_midpoint():

@@ -13,18 +13,19 @@ import pytest
 
 import mambafuse
 from mambafuse import checkpoint
-from mambafuse.autodiff import Tensor
+from mambafuse.autodiff import Tape, Tensor
 from mambafuse.checkpoint import CheckpointError
 from mambafuse.checks import PROPERTIES, run_checks
-from mambafuse.config import (ModelConfig, TrainConfig, dump_config,
+from mambafuse.config import (SEED_MAX, ModelConfig, TrainConfig, dump_config,
                               parse_config_text, tiny_config)
-from mambafuse.data import (read_labels, read_pgm, read_ppm, render_scene,
+from mambafuse.data import (load_dataset, read_labels, read_pgm, read_ppm, render_scene,
                             synth_dataset, write_labels, write_pgm, write_ppm)
 from mambafuse.deformable import DeformableToken, deformable_conv2d
 from mambafuse.detect import DetectionBox
 from mambafuse.model import build_detector
 from mambafuse.nn import Conv2d, Module, Parameter
-from mambafuse.train import OFFSET_LR_MULT, SGD, blas_thread_fns, cosine_lr, train
+from mambafuse.train import (OFFSET_LR_MULT, SGD, blas_thread_fns, compute_batch_loss,
+                             cosine_lr, train)
 from mambafuse.autodiff import ConfigError
 
 
@@ -357,6 +358,17 @@ def _tiny_train(tmp_path, tag, steps=3, threads=1):
     return lines, (tmp_path / f"{tag}.ckpt").read_bytes()
 
 
+def test_pinned_step_records_966_tape_nodes(tmp_path):
+    # tape nodes per pinned-recipe step (tiny_config() at seed 0, batch 8 of
+    # synth_dataset(0, 8, 128)): the forward plus the loss
+    cfg = tiny_config()
+    _, rgbs, irs, labels = load_dataset(synth_dataset(0, 8, 128, tmp_path / "data"))
+    model = build_detector(cfg, seed=0)
+    with Tape() as tape:
+        compute_batch_loss(model, rgbs, irs, labels, cfg, TrainConfig())
+    assert len(tape) == 966
+
+
 def test_training_is_bit_deterministic(tmp_path):
     lines1, blob1 = _tiny_train(tmp_path, "a")
     lines2, blob2 = _tiny_train(tmp_path, "b")
@@ -454,7 +466,8 @@ def test_config_parse_errors():
 
 @pytest.mark.parametrize("field,value", [
     ("input_size", 0), ("ffar_stride", 0), ("base_width", 0), ("ssm_state", 0),
-    ("stage_widths", (16, 0, 32, 48)), ("ssm_expand", 0), ("ffar_stride", -4)])
+    ("stage_widths", (16, 0, 32, 48)), ("ssm_expand", 0), ("ffar_stride", -4),
+    ("num_classes", 0), ("num_classes", -1)])
 def test_config_rejects_sizes_below_one(field, value):
     with pytest.raises(ConfigError, match=field):
         tiny_config(**{field: value})
@@ -465,6 +478,13 @@ def test_config_rejects_sizes_below_one(field, value):
 def test_train_config_rejects_values_below_floor(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_train_config_rejects_seed_beyond_64_bits():
+    # seeds key uint64 Philox streams
+    assert TrainConfig(seed=SEED_MAX).seed == SEED_MAX
+    with pytest.raises(ConfigError, match="seed must be at most"):
+        TrainConfig(seed=SEED_MAX + 1)
 
 
 def test_cli_train_exits_2_on_base_width_indivisible_by_reduction(tmp_path, capsys):
@@ -480,6 +500,7 @@ def test_cli_train_exits_2_on_base_width_indivisible_by_reduction(tmp_path, caps
 
 
 @pytest.mark.parametrize("line", ["batch_size = 0", "batch_size = -2", "seed = -1",
+                                  "seed = 18446744073709551616", "num_classes = -1",
                                   "steps = 0", "momentum = inf", "lr_initial = nan"])
 def test_cli_train_exits_2_on_bad_config_value(tmp_path, capsys, line):
     from mambafuse.cli import main
@@ -511,6 +532,19 @@ def test_cli_exits_2_on_steps_or_seed_below_floor(tmp_path, monkeypatch, capsys,
     assert e.value.code == 2
     flag = "--steps" if "--steps" in argv else "--seed"
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--data", "d"], ["train", "--data", "d", "--ckpt", "m.ckpt"]],
+    ids=["synth", "train"])
+def test_cli_exits_2_on_seed_beyond_64_bits(tmp_path, monkeypatch, capsys, command):
+    from mambafuse.cli import main
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(command[:1] + ["--seed", str(SEED_MAX + 1)] + command[1:])
+    assert e.value.code == 2
+    assert "argument --seed: must be at most" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
