@@ -572,6 +572,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     ``W_tap^T . g`` into the shifted view of the input gradient.  A tap
     whose window lies wholly in the zero padding (on a map smaller than the
     kernel window) adds only zeros, so it is skipped and its ``gW`` stays zero.
+    An all-zero ``gy`` (a head branch with no positives) gives no gradient to
+    any input, so the sweep skips the rest of that branch.
     """
     depthwise = weight.ndim == 3
     if x.ndim != 4 or weight.ndim not in (3, 4):
@@ -608,7 +610,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     out = Tensor(np.ascontiguousarray(y.transpose(1, 0, 2, 3)))
     need_gx = x.requires_grad   # False where x derives from the images alone
 
+    no_grads = (None, None) if bias is None else (None, None, None)
+
     def bw(gy):
+        if not gy.any():
+            return no_grads
         g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3))
         gflat = g.reshape(Cout, -1)
         gwt = np.zeros(wt.shape, dtype=gy.dtype)
@@ -626,7 +632,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                 _tap_mac(_shifted(gxc, ky, kx, Ho, Wo, stride), w_tap, g)
         gx = (None if gxc is None else
               np.ascontiguousarray(_crop(gxc, padding).transpose(1, 0, 2, 3)))
-        gw = gwt.transpose(2, 3, 0, 1).reshape(weight.shape)
+        # C-ordered like the weight, so the optimizer reads both in memory order
+        gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1)).reshape(weight.shape)
         if bias is not None:
             return (gx, gw, gflat.sum(axis=1))
         return (gx, gw)

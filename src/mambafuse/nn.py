@@ -11,12 +11,16 @@ from .autodiff import ConfigError, Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor; ``grad`` accumulates during backward."""
+    """A trainable tensor; ``grad`` accumulates during backward.  It owns its
+    ``data``, which an optimizer step changes in place, so an array that
+    already has the right dtype is copied, not kept."""
 
     __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
+        if self.data is data:
+            self.data = data.copy()
 
 
 class Module:
@@ -49,9 +53,14 @@ class Module:
             yield from m.modules()
 
     def state_dict(self) -> dict[str, np.ndarray]:
+        """Name -> the live ``data`` array of each parameter, not a copy:
+        an optimizer step changes it in place."""
         return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy each array of ``state`` into its parameter, so a later
+        in-place step writes neither the caller's arrays nor, when two names
+        were loaded from one array, the other parameter."""
         own = dict(self.named_parameters())
         for name, p in own.items():
             if name not in state:
@@ -60,7 +69,7 @@ class Module:
             if tuple(arr.shape) != tuple(p.shape):
                 raise ConfigError(
                     f"checkpoint tensor {name!r} has shape {arr.shape}, expected {p.shape}")
-            p.data = np.asarray(arr, dtype=p.data.dtype)
+            p.data = np.array(arr, dtype=p.data.dtype)
         extra = set(state) - set(own)
         if extra:
             raise ConfigError(f"checkpoint has unknown tensor {sorted(extra)[0]!r}")

@@ -2,6 +2,7 @@
 gradient checks, and tape semantics."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -533,6 +534,22 @@ def test_recorded_unpadded_conv_holds_nothing_beyond_its_output():
     assert held_beyond_output(lambda x, w: ad.conv2d(x, w, None), x, w) < 4096
 
 
+
+def test_recorded_padded_conv_frees_its_unpadded_input():
+    # the closure reads its padded copy of the input, so the input itself (an
+    # intermediate the forward drops) is freed
+    r = rng(34)
+    x0 = Tensor(r.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(r.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(4, np.float32), requires_grad=True)
+    with Tape():
+        x = ad.silu(x0)
+        y = ad.conv2d(x, w, b, 1, 1)
+    data = weakref.ref(x.data)
+    del x
+    assert data() is None
+    assert y.requires_grad
+
 def test_recorded_log_softmax_makes_five_nodes():
     # the max shift is a constant: sub, exp, sum_axis, log and sub record; a
     # recorded max would never receive a gradient and only keep x alive
@@ -560,6 +577,36 @@ def test_gradient_accumulates_across_fanout():
         ad.backward(tape, ad.sum_all(y))
     np.testing.assert_allclose(x.grad, [12.0])
 
+
+
+def test_conv2d_with_all_zero_output_gradient_gives_no_gradient():
+    # a head branch with no positives: the conv and everything before it on
+    # that branch get no gradient, while the other branch still gets one
+    r = np.random.default_rng(3)
+    x = Tensor(r.normal(size=(2, 3, 5, 5)).astype(np.float32), requires_grad=True)
+    w0 = Tensor(r.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    b0 = Tensor(np.zeros(4, np.float32), requires_grad=True)
+    w1 = Tensor(r.normal(size=(4, 4, 1, 1)).astype(np.float32), requires_grad=True)
+    w2 = Tensor(r.normal(size=(2, 3, 1, 1)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        h = ad.silu(ad.conv2d(x, w0, b0, 1, 1))
+        dead = ad.mul(ad.conv2d(h, w1, None), Tensor(np.zeros((2, 4, 5, 5), np.float32)))
+        ad.backward(tape, ad.add(ad.sum_all(dead), ad.sum_all(ad.conv2d(x, w2, None))))
+    assert w0.grad is None and b0.grad is None and w1.grad is None
+    assert w2.grad is not None
+    np.testing.assert_allclose(x.grad, np.broadcast_to(w2.data.sum(axis=0)[None],
+                                                       (2, 3, 5, 5)), rtol=1e-6)
+
+
+@pytest.mark.parametrize("wshape", [(4, 3, 3, 3), (3, 3, 3)])
+def test_conv2d_weight_gradient_is_c_contiguous(wshape):
+    # laid out like the weight, so the optimizer's passes read it in order
+    r = np.random.default_rng(4)
+    x = Tensor(r.normal(size=(2, 3, 5, 5)).astype(np.float32))
+    w = Tensor(r.normal(size=wshape).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        ad.backward(tape, ad.sum_all(ad.conv2d(x, w, None, 1, 1)))
+    assert w.grad.shape == wshape and w.grad.flags.c_contiguous
 
 def test_rank_limit_enforced():
     with pytest.raises(ConfigError):

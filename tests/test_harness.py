@@ -3,6 +3,7 @@ schedules, optimizer mechanics, determinism, and the self-check registry."""
 
 import ast
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import mambafuse
+from mambafuse import autodiff as ad
 from mambafuse import checkpoint
 from mambafuse.autodiff import Tape, Tensor
 from mambafuse.checkpoint import CheckpointError
@@ -24,8 +26,9 @@ from mambafuse.deformable import DeformableToken, deformable_conv2d
 from mambafuse.detect import DetectionBox
 from mambafuse.model import build_detector
 from mambafuse.nn import Conv2d, Module, Parameter
-from mambafuse.train import (OFFSET_LR_MULT, SGD, blas_thread_fns, compute_batch_loss,
-                             cosine_lr, train)
+from mambafuse.train import (GRAD_CLIP, LR_FINAL, LR_INITIAL, MOMENTUM, OFFSET_LR_MULT, SGD,
+                             WEIGHT_DECAY, blas_thread_fns, compute_batch_loss, cosine_lr,
+                             train)
 from mambafuse.autodiff import ConfigError
 
 
@@ -295,7 +298,9 @@ def test_grad_clip_scales_to_cap():
     p.grad = np.array([3.0, 4.0, 0.0], dtype=np.float32)
     norm = opt.clip_grad_norm(1.0)
     assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(np.sqrt((p.grad ** 2).sum()), 1.0, rtol=1e-6)
+    opt.step(lr=0.1)
+    # the step is lr * cap/norm * g: the gradient it applies has norm 1
+    np.testing.assert_allclose(-p.data, 0.1 * 1.0 / 5.0 * p.grad, rtol=1e-6)
 
 
 def _offset_and_plain_module():
@@ -330,16 +335,133 @@ def test_sgd_groups_share_one_global_clip():
     m = _offset_and_plain_module()
     opt = SGD.for_model(m, momentum=0.0, weight_decay=0.0)
     for p in m.parameters():
+        p.data[...] = 0.0   # so each parameter after the step is minus the step
         p.grad = np.full_like(p.data, 1.0)
     total = sum(p.data.size for p in m.parameters())
     norm = opt.clip_grad_norm(1.0)
     assert norm == pytest.approx(np.sqrt(total))
-    after = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum())
-                        for p in m.parameters()))
-    assert after == pytest.approx(1.0, rel=1e-6)
-    # one scale for every group
-    scales = {float(p.grad.flat[0]) for p in m.parameters()}
-    assert len(scales) == 1
+    opt.step(lr=0.1)
+    # one scale for every group: each step is lr * mult * cap/norm * g
+    for p, mult in zip(m.parameters(), opt.lr_mults):
+        np.testing.assert_allclose(-p.data, 0.1 * mult / norm, rtol=1e-6)
+    assert set(opt.lr_mults) == {1.0, OFFSET_LR_MULT}
+
+
+def reference_step(data, velocity, grads, lr_mults, lr, norm, max_norm, momentum, wd):
+    """One clip + step with the out-of-place arithmetic the optimizer had
+    before it stepped in place: a scaled copy of every gradient when ``norm``
+    (the optimizer's) is above the cap, zeros for a missing gradient, and a
+    fresh array for every new parameter.  ``velocity`` is updated in place."""
+    if norm > max_norm:
+        grads = [None if g is None else g * (max_norm / norm) for g in grads]
+    new = []
+    for d, v, g, mult in zip(data, velocity, grads, lr_mults):
+        g = np.zeros_like(d) if g is None else g
+        g = g + wd * d
+        v *= momentum
+        v += g
+        new.append(d - (lr * mult) * v)
+    return new
+
+
+def float64_norm(grads):
+    return math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                         for g in grads if g is not None))
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_sgd_step_matches_out_of_place_reference_bit_for_bit(monkeypatch, chunk):
+    if chunk is not None:   # step the larger parameters in chunks of rows
+        monkeypatch.setattr(sys.modules["mambafuse.train"], "_STEP_CHUNK", chunk)
+    m = _offset_and_plain_module()
+    params = m.parameters()
+    opt = SGD.for_model(m, MOMENTUM, WEIGHT_DECAY)
+    assert max(len(c) for c in opt._chunks) == (1 if chunk is None else 4)
+    # a parameter with no gradient, stored as -0.0 with a -0.0 velocity:
+    # its step is 0 + wd*p, which turns -0.0 into +0.0 before the momentum
+    none_at = params.index(m.plain.bias)
+    m.plain.bias.data[...] = -0.0
+    opt.velocity[none_at][...] = -0.0
+    data = [p.data.copy() for p in params]
+    velocity = [v.copy() for v in opt.velocity]
+    r = rng(40)
+    clipped = 0
+    for step in range(20):
+        # above the cap on even steps, below it on odd ones
+        size = 3.0 if step % 2 == 0 else 1e-3
+        grads = [None if i == none_at else (r.normal(size=p.shape) * size).astype(np.float32)
+                 for i, p in enumerate(params)]
+        for p, g in zip(params, grads):
+            p.grad = g
+        norm = opt.clip_grad_norm(GRAD_CLIP)
+        assert norm == pytest.approx(float64_norm(grads), rel=1e-6)
+        clipped += norm > GRAD_CLIP
+        lr = cosine_lr(step, 20, LR_INITIAL, LR_FINAL)
+        opt.step(lr)
+        data = reference_step(data, velocity, grads, opt.lr_mults, lr, norm, GRAD_CLIP,
+                              MOMENTUM, WEIGHT_DECAY)
+        for p, d in zip(params, data):
+            assert p.data.tobytes() == d.tobytes()
+        for v, w in zip(opt.velocity, velocity):
+            assert v.tobytes() == w.tobytes()
+    assert clipped == 10
+    assert OFFSET_LR_MULT in opt.lr_mults
+
+
+def test_sgd_reads_broadcast_and_shared_gradients_without_writing_them():
+    params = [Parameter(np.arange(6.0).reshape(2, 3) + k) for k in range(3)]
+    opt = SGD(params, MOMENTUM, WEIGHT_DECAY)
+    data = [p.data.copy() for p in params]
+    broadcast = np.broadcast_to(np.float32(3.0), (2, 3))   # read-only
+    shared = np.full((2, 3), 4.0, dtype=np.float32)        # one array, two leaves
+    params[0].grad = broadcast
+    params[1].grad = params[2].grad = shared
+    norm = opt.clip_grad_norm(1.0)
+    assert norm == pytest.approx(math.sqrt(6 * 9 + 2 * 6 * 16))
+    opt.step(lr=0.5)
+    assert not broadcast.flags.writeable
+    np.testing.assert_array_equal(broadcast, 3.0)
+    np.testing.assert_array_equal(shared, 4.0)
+    assert params[1].grad is shared and params[2].grad is shared
+    # each gradient applied once, with one scale
+    want = reference_step(data, [np.zeros_like(d) for d in data],
+                          [broadcast, shared, shared], [1.0] * 3, 0.5, norm, 1.0,
+                          MOMENTUM, WEIGHT_DECAY)
+    for p, w in zip(params, want):
+        assert p.data.tobytes() == w.tobytes()
+
+
+def test_load_state_dict_and_parameter_copy_so_a_step_writes_no_caller_array():
+    conv = Conv2d(rng(42), 2, 3, 3)
+    state = {k: v.copy() for k, v in conv.state_dict().items()}
+    kept = {k: v.copy() for k, v in state.items()}
+    conv.load_state_dict(state)
+    opt = SGD(conv.parameters(), MOMENTUM, WEIGHT_DECAY)
+    for p in conv.parameters():
+        p.grad = np.ones_like(p.data)
+    opt.step(0.1)
+    assert all(state[k].tobytes() == kept[k].tobytes() for k in state)
+    assert not np.array_equal(conv.weight.data, state["weight"])
+    # two parameters loaded from one array each step once
+    m = Module()
+    m.a = Conv2d(rng(43), 2, 3, 1, bias=False)
+    m.b = Conv2d(rng(44), 2, 3, 1, bias=False)
+    w = np.ones((3, 2, 1, 1), dtype=np.float32)
+    m.load_state_dict({"a.weight": w, "b.weight": w})
+    opt = SGD(m.parameters(), momentum=0.0, weight_decay=0.0)
+    for p in m.parameters():
+        p.grad = np.ones_like(p.data)
+    opt.step(0.5)
+    np.testing.assert_array_equal(w, 1.0)
+    np.testing.assert_array_equal(m.a.weight.data, 0.5)
+    np.testing.assert_array_equal(m.b.weight.data, 0.5)
+    # nor does a step write the array a parameter was built from
+    p = Parameter(w)
+    opt = SGD([p], momentum=0.0, weight_decay=0.0)
+    p.grad = np.ones_like(w)
+    opt.step(0.5)
+    np.testing.assert_array_equal(w, 1.0)
+    np.testing.assert_array_equal(p.data, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +489,22 @@ def test_pinned_step_records_966_tape_nodes(tmp_path):
     with Tape() as tape:
         compute_batch_loss(model, rgbs, irs, labels, cfg, TrainConfig())
     assert len(tape) == 966
+
+
+def test_pinned_step_gives_box_branches_without_positives_no_gradient(tmp_path):
+    # every synthetic box routes to head level 1, so the box branches of
+    # levels 0 and 2 get an all-zero output gradient and conv2d stops there
+    cfg = tiny_config()
+    _, rgbs, irs, labels = load_dataset(synth_dataset(0, 8, 128, tmp_path / "data"))
+    model = build_detector(cfg, seed=0)
+    with Tape() as tape:
+        loss, _ = compute_batch_loss(model, rgbs, irs, labels, cfg, TrainConfig())
+        ad.backward(tape, loss)
+    for name, p in model.named_parameters():
+        if name.startswith(("head.level0.box_", "head.level2.box_")):
+            assert p.grad is None, name
+        elif name.startswith("head."):
+            assert p.grad is not None and p.grad.any(), name
 
 
 def test_training_is_bit_deterministic(tmp_path):
