@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,29 @@ def test_sgd_reads_broadcast_and_shared_gradients_without_writing_them():
                           MOMENTUM, WEIGHT_DECAY)
     for p, w in zip(params, want):
         assert p.data.tobytes() == w.tobytes()
+
+
+def test_sgd_clip_and_step_allocate_less_than_two_parameters():
+    r = rng(41)
+    params = [Parameter(r.normal(size=shape)) for shape in ((64, 32, 3, 3), (64,), (32, 16))]
+    opt = SGD(params, MOMENTUM, WEIGHT_DECAY)
+
+    def set_grads():
+        for p in params:
+            p.grad = r.normal(size=p.shape).astype(np.float32)
+
+    set_grads()
+    opt.clip_grad_norm(1.0)
+    opt.step(0.01)   # warm-up
+    set_grads()
+    tracemalloc.start()
+    try:
+        assert opt.clip_grad_norm(1.0) > 1.0   # the clip scale is applied
+        opt.step(0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * params[0].data.nbytes
 
 
 def test_load_state_dict_and_parameter_copy_so_a_step_writes_no_caller_array():
