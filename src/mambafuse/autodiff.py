@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -108,35 +107,31 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _state.stack.append(self)
+        _stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _state.stack.pop()
+        _stack.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-class _TapeState(threading.local):
-    # independent tapes may run on separate threads; each thread records
-    # to its own stack
-    def __init__(self):
-        self.stack: list[Tape] = []
-        self.grad_enabled = True
-
-
-_state = _TapeState()
+# the open tapes, innermost last, and whether recording is on; training
+# records on one thread
+_stack: list[Tape] = []
+_grad_enabled = True
 
 
 @contextlib.contextmanager
 def no_grad():
-    prev = _state.grad_enabled
-    _state.grad_enabled = False
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _grad_enabled = prev
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +171,12 @@ class Tensor:
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], fn: Callable) -> Tensor:
-    stack = _state.stack
-    if stack and _state.grad_enabled and any(p.requires_grad for p in parents):
+    if _stack and _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         refs = tuple(p.node if p.node is not None else (p if p.requires_grad else None)
                      for p in parents)
         out.node = Node(fn, out.data.shape, out.data.dtype, refs)
-        stack[-1].nodes.append(out.node)
+        _stack[-1].nodes.append(out.node)
     return out
 
 
@@ -524,8 +518,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bw(gy):
         ad, bd = a.data, b.data
         ga = gy @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ gy
-        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ gy, bd.shape)
+        if not bd.flags.c_contiguous:
+            # laid out like b: the gradient of a transposed weight (``linear``)
+            # then reaches the optimizer C-ordered
+            gb, g = np.empty_like(bd, dtype=gb.dtype), gb
+            gb[...] = g
+        return (_unbroadcast(ga, ad.shape), gb)
 
     return _record(out, (a, b), bw)
 
@@ -688,68 +687,92 @@ def grid_sample_taps(x: Tensor, ys: Tensor, xs: Tensor) -> Tensor:
 
     Returns [B,C*T,Ho,Wo] with the channel axis major (tap index minor);
     out-of-bounds neighbors contribute zero.  Differentiable w.r.t. x and
-    both coordinate fields.  The closure keeps only the three inputs; the
-    backward recomputes the corners' positions, weights and gathered values.
+    both coordinate fields.
+
+    The samples are gathered from a channel-major copy of x with a 2-cell
+    zero border, in which the four corners of a point sit at the flat
+    offsets {0, 1, W+4, W+5} of its floor cell, so each corner is one
+    ``take`` of contiguous rows.  The output's memory is [C*T,B,Ho,Wo]; a
+    1x1 conv over it reads it in place.  The closure keeps only the three
+    inputs; the backward rebuilds the padded map and the corners.
     """
     B, C, H, W = x.data.shape
     if ys.shape != xs.shape or ys.shape[0] != B:
         raise ConfigError(f"coordinate shapes {ys.shape}/{xs.shape} mismatch input {x.shape}")
     T, Ho, Wo = ys.shape[1:]
-    out = np.zeros((B, C, T * Ho * Wo), dtype=x.data.dtype)
-    for _, _, idx, g, fy, fx, valid in _bilinear_corners(x.data, ys.data, xs.data):
-        # the mask folds into the [B,P] weights: an off-map corner weighs 0
-        out += g * (fy * fx * valid)[:, None]
-    out = Tensor(out.reshape(B, C * T, Ho, Wo))
+    xp = _border2(x.data)
+    out = np.zeros((C, T * B * Ho * Wo), dtype=x.data.dtype)
+    for _, _, idx, fy, fx in _bilinear_corners(ys.data, xs.data, H, W):
+        out += xp.take(idx, axis=1) * (fy * fx)
+    out = Tensor(out.reshape(C * T, B, Ho, Wo).transpose(1, 0, 2, 3))
 
     def bw(gy_flat):
-        gy = gy_flat.reshape(B, C, -1)
-        gys = np.zeros((B, T * Ho * Wo), dtype=ys.data.dtype)
-        gxs = np.zeros((B, T * Ho * Wo), dtype=xs.data.dtype)
-        gx = np.zeros(B * C * H * W)
-        for dy, dx, idx, g, fy, fx, valid in _bilinear_corners(x.data, ys.data, xs.data):
-            wgt = fy * fx * valid
-            gx += np.bincount(idx.reshape(-1), weights=(gy * wgt[:, None]).reshape(-1),
-                              minlength=gx.size)
+        # channel-major like the samples: [C, T*B*Ho*Wo]
+        gy = np.ascontiguousarray(
+            gy_flat.reshape(B, C, T, Ho * Wo).transpose(1, 2, 0, 3)).reshape(C, -1)
+        xp = _border2(x.data)
+        gys = np.zeros(gy.shape[1], dtype=ys.data.dtype)
+        gxs = np.zeros(gy.shape[1], dtype=xs.data.dtype)
+        gxp = np.zeros(xp.shape)
+        for dy, dx, idx, fy, fx in _bilinear_corners(ys.data, xs.data, H, W):
+            wgt = fy * fx
+            for c in range(C):
+                gxp[c] += np.bincount(idx, weights=gy[c] * wgt, minlength=xp.shape[1])
             # d out / d corner weight, summed over channels
-            gdot = np.einsum("bcp,bcp->bp", gy, g) * valid
+            gdot = np.einsum("cp,cp->p", gy, xp.take(idx, axis=1))
             gys += gdot * (fx * (1.0 if dy else -1.0))
             gxs += gdot * (fy * (1.0 if dx else -1.0))
-        return (gx.reshape(B, C, H, W).astype(gy.dtype),
-                gys.reshape(ys.shape), gxs.reshape(xs.shape))
+        gx = gxp.reshape(C, B, H + 4, W + 4)[:, :, 2:-2, 2:-2].transpose(1, 0, 2, 3)
+        return (gx.astype(gy.dtype, order="C"), _tap_major(gys, ys.shape),
+                _tap_major(gxs, xs.shape))
 
     return _record(out, (x, ys, xs), bw)
 
 
-def _bilinear_corners(x: np.ndarray, ys: np.ndarray, xs: np.ndarray):
+def _border2(x: np.ndarray) -> np.ndarray:
+    """x:[B,C,H,W] as [C, B*(H+4)*(W+4)]: channel-major, 2 zero cells around."""
+    B, C, H, W = x.shape
+    xp = np.zeros((C, B, H + 4, W + 4), dtype=x.dtype)
+    xp[:, :, 2:-2, 2:-2] = x.transpose(1, 0, 2, 3)
+    return xp.reshape(C, -1)
+
+
+def _tap_major(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """[T*B*Ho*Wo] in tap-major order as the [B,T,Ho,Wo] view of shape."""
+    B, T, Ho, Wo = shape
+    return a.reshape(T, B, Ho, Wo).transpose(1, 0, 2, 3)
+
+
+def _bilinear_corners(ys: np.ndarray, xs: np.ndarray, H: int, W: int):
     """The four neighbours of every sampling point, one corner at a time.
 
-    For x:[B,C,H,W] and coords ys/xs:[B,...] flattened to P points, yields
-    (dy, dx, idx, g, fy, fx, valid): the corner's offset from the floor
-    cell, its flat indices into x [B,C,P] (clipped onto the map), the
-    values there [B,C,P], its row and column weights [B,P], and whether it
-    lies on the map [B,P].
+    For coords ys/xs:[B,T,Ho,Wo] on an HxW map, taken in tap-major order
+    [T,B,Ho,Wo], yields (dy, dx, idx, fy, fx): the corner's offset from the
+    floor cell, its flat index into ``_border2``'s padded map, and its row
+    and column weights.  A floor index is cast to int and then clamped to
+    [-2, H] (or [-2, W]), so a point off the map reads the zero border; in
+    that order a NaN coordinate, whose cast is undefined, still reads the
+    border, and its NaN weight makes the sample NaN.
     """
-    B, C, H, W = x.shape
-    y = ys.reshape(B, -1)
-    xx = xs.reshape(B, -1)
+    B = ys.shape[0]
+    y = ys.transpose(1, 0, 2, 3).reshape(-1)
+    xx = xs.transpose(1, 0, 2, 3).reshape(-1)
     y0 = np.floor(y)
     x0 = np.floor(xx)
     wy = y - y0
     wx = xx - x0
-    y0i = y0.astype(np.int64)
-    x0i = x0.astype(np.int64)
-    # flat offset of plane (b, c) in x.reshape(-1)
-    plane = (np.arange(B * C, dtype=np.int64) * (H * W)).reshape(B, C, 1)
-    xflat = x.reshape(-1)
+    Wp = W + 4
+    y0i = np.clip(y0.astype(np.int64), -2, H)
+    x0i = np.clip(x0.astype(np.int64), -2, W)
+    # each tap's run of B*Ho*Wo points starts at batch plane 0
+    T = ys.shape[1]
+    plane = np.repeat(np.arange(B, dtype=np.int64) * ((H + 4) * Wp), y.size // (B * T))
+    base = (((y0i + 2) * Wp + (x0i + 2)).reshape(T, -1) + plane).reshape(-1)
     for dy in (0, 1):
         fy = wy if dy else 1.0 - wy
-        yc = y0i + dy
         for dx in (0, 1):
             fx = wx if dx else 1.0 - wx
-            xc = x0i + dx
-            valid = (yc >= 0) & (yc < H) & (xc >= 0) & (xc < W)
-            idx = plane + (np.clip(yc, 0, H - 1) * W + np.clip(xc, 0, W - 1))[:, None]
-            yield dy, dx, idx, xflat.take(idx), fy, fx, valid
+            yield dy, dx, base + (dy * Wp + dx), fy, fx
 
 
 # ---------------------------------------------------------------------------

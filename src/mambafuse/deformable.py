@@ -46,7 +46,8 @@ def deformable_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     ys = ad.add(dy, Tensor(base_y[None]))
     xs = ad.add(dx, Tensor(base_x[None]))
     sampled = ad.grid_sample_taps(x, ys, xs)                    # [B,C*T,Ho,Wo]
-    # the sampled columns are a [C*T]-channel map: contract them as a 1x1 conv
+    # the sampled columns are a [C*T]-channel map, channel-major in memory:
+    # a 1x1 conv contracts them in place
     return ad.conv2d(sampled, ad.reshape(weight, (Cout, C * T, 1, 1)), bias)
 
 

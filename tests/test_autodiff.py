@@ -215,6 +215,113 @@ def test_grid_sample_taps_matches_naive_loop():
     np.testing.assert_allclose(got32, want, rtol=1e-5, atol=1e-5)
 
 
+def reference_corners(x, ys, xs):
+    """The sampler's earlier corner loop: per corner, its indices clipped
+    onto the map, the gathered [B,C,P] values, its weights, and a mask of
+    the corners that lie on the map."""
+    B, C, H, W = x.shape
+    y = ys.reshape(B, -1)
+    xx = xs.reshape(B, -1)
+    y0 = np.floor(y)
+    x0 = np.floor(xx)
+    wy = y - y0
+    wx = xx - x0
+    y0i = y0.astype(np.int64)
+    x0i = x0.astype(np.int64)
+    plane = (np.arange(B * C, dtype=np.int64) * (H * W)).reshape(B, C, 1)
+    xflat = x.reshape(-1)
+    for dy in (0, 1):
+        fy = wy if dy else 1.0 - wy
+        yc = y0i + dy
+        for dx in (0, 1):
+            fx = wx if dx else 1.0 - wx
+            xc = x0i + dx
+            valid = (yc >= 0) & (yc < H) & (xc >= 0) & (xc < W)
+            idx = plane + (np.clip(yc, 0, H - 1) * W + np.clip(xc, 0, W - 1))[:, None]
+            yield dy, dx, idx, xflat.take(idx), fy, fx, valid
+
+
+def reference_grid_sample(x, ys, xs, gy_flat):
+    """The sampler's output and its three gradients for the output gradient
+    gy_flat, by the earlier per-corner loop, with its float64 sums."""
+    B, C, H, W = x.shape
+    T, Ho, Wo = ys.shape[1:]
+    out = np.zeros((B, C, T * Ho * Wo), dtype=x.dtype)
+    for _, _, idx, g, fy, fx, valid in reference_corners(x, ys, xs):
+        out += g * (fy * fx * valid)[:, None]
+    gy = gy_flat.reshape(B, C, -1)
+    gys = np.zeros((B, T * Ho * Wo), dtype=ys.dtype)
+    gxs = np.zeros((B, T * Ho * Wo), dtype=xs.dtype)
+    gx = np.zeros(B * C * H * W)
+    for dy, dx, idx, g, fy, fx, valid in reference_corners(x, ys, xs):
+        wgt = fy * fx * valid
+        gx += np.bincount(idx.reshape(-1), weights=(gy * wgt[:, None]).reshape(-1),
+                          minlength=gx.size)
+        gdot = np.einsum("bcp,bcp->bp", gy, g) * valid
+        gys += gdot * (fx * (1.0 if dy else -1.0))
+        gxs += gdot * (fy * (1.0 if dx else -1.0))
+    return (out.reshape(B, C * T, Ho, Wo), gx.reshape(B, C, H, W).astype(gy.dtype),
+            gys.reshape(ys.shape), gxs.reshape(xs.shape))
+
+
+def sampled_with_grads(x, ys, xs, gy):
+    """grid_sample_taps' output and the gradients that gy gives x, ys, xs."""
+    x, ys, xs = (Tensor(a, requires_grad=True) for a in (x, ys, xs))
+    with Tape() as tape:
+        out = ad.grid_sample_taps(x, ys, xs)
+        ad.backward(tape, ad.sum_all(ad.mul(out, Tensor(gy))))
+    return out.data, x.grad, ys.grad, xs.grad
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    uint = np.dtype(f"u{want.dtype.itemsize}")
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+
+# the model's sampler shapes at 128 px (batch 2): the FFAR RGB and IR
+# tokens (4x4 taps at stride 4) and the first MDTMB stage (3x3 at stride 2)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape,taps,grid", [
+    pytest.param((2, 3, 128, 128), 16, 32, id="ffar-rgb"),
+    pytest.param((2, 1, 128, 128), 16, 32, id="ffar-ir"),
+    pytest.param((2, 8, 32, 32), 9, 16, id="stage1"),
+])
+def test_grid_sample_taps_matches_per_corner_reference_bitwise(shape, taps, grid, dtype):
+    r = rng(38)
+    B, C, H, W = shape
+    x = r.normal(size=shape).astype(dtype)
+    ys = r.uniform(-50.0, H + 40.0, size=(B, taps, grid, grid)).astype(dtype)
+    xs = r.uniform(-50.0, W + 40.0, size=(B, taps, grid, grid)).astype(dtype)
+    ys.reshape(-1)[::3] = np.round(ys.reshape(-1)[::3])
+    xs.reshape(-1)[::4] = np.round(xs.reshape(-1)[::4])
+    gy = r.normal(size=(B, C * taps, grid, grid)).astype(dtype)
+    with precision("f64" if dtype == np.float64 else "f32"):
+        got = sampled_with_grads(x, ys, xs, gy)
+    for g, w in zip(got, reference_grid_sample(x, ys, xs, gy)):
+        assert_same_bits(g, w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # casts and inf - inf
+def test_grid_sample_taps_nonfinite_and_huge_coordinates():
+    # NaN and infinite coordinates give NaN samples; points far off the map
+    # (past the int64 range, or at 3e9) read zeros; none indexes out of range
+    r = rng(39)
+    x = r.normal(size=(2, 3, 5, 6)).astype(np.float32)
+    special = np.array([np.nan, np.inf, -np.inf, 1e20, -1e20, 3e9], dtype=np.float32)
+    n = special.size
+    ys = np.full((2, 2 * n, 1, 1), 2.5, dtype=np.float32)
+    xs = np.full((2, 2 * n, 1, 1), 1.25, dtype=np.float32)
+    ys[:, :n, 0, 0] = special
+    xs[:, n:, 0, 0] = special
+    gy = r.normal(size=(2, 3 * 2 * n, 1, 1)).astype(np.float32)
+    out = sampled_with_grads(x, ys, xs, gy)[0].reshape(2, 3, 2, n)
+    want = reference_grid_sample(x, ys, xs, gy)[0].reshape(2, 3, 2, n)
+    np.testing.assert_array_equal(out, want)
+    assert np.isnan(out[..., :3]).all()
+    assert (out[..., 3:] == 0).all()
+
+
 def naive_depthwise(x, w, b):
     B, C, H, W = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -607,6 +714,19 @@ def test_conv2d_weight_gradient_is_c_contiguous(wshape):
     with Tape() as tape:
         ad.backward(tape, ad.sum_all(ad.conv2d(x, w, None, 1, 1)))
     assert w.grad.shape == wshape and w.grad.flags.c_contiguous
+
+def test_linear_weight_gradient_is_c_contiguous():
+    # linear reads W through a transposed view; its gradient still comes
+    # back laid out like W
+    r = np.random.default_rng(5)
+    x = Tensor(r.normal(size=(2, 5, 3)))
+    w = Tensor(r.normal(size=(4, 3)), requires_grad=True)
+    with Tape() as tape:
+        ad.backward(tape, ad.sum_all(ad.linear(x, w)))
+    assert w.grad.flags.c_contiguous
+    np.testing.assert_allclose(w.grad, np.broadcast_to(x.data.sum(axis=(0, 1)), (4, 3)),
+                               rtol=1e-6)
+
 
 def test_rank_limit_enforced():
     with pytest.raises(ConfigError):
