@@ -8,18 +8,20 @@ nothing is recorded.  ``backward`` consumes the tape.  Arrays are plain
 numpy, float32 by default with a float64 mode for gradient checking.
 
 ``conv2d`` is the one convolution kernel: a loop over the kernel taps, each
-a GEMM on a shifted view of the padded input.  A rank-3 weight [C,K,K] makes
-it a depthwise conv, and taps that read only zero padding are skipped.
+a GEMM on a contiguous slice of the channel-major padded input, held as flat
+phase maps.  A rank-3 weight [C,K,K] makes it a depthwise conv, and taps
+that read only zero padding are skipped.  The bilinear sampler reads the
+same kind of map: each corner is one gather at a constant offset.
 
 A closure keeps the arrays that its op's inputs already own and rebuilds
 anything derived from them in the backward (a sigmoid, an argmax, a
-sampler's corner weights) with the same numpy calls in the same order, so
-gradients are the same bits as if it had been kept.  The exceptions keep
-one array that costs more to rebuild than to hold: a padded input that a
-kernel reads in shifted views, a conv's tap-major weights, an output or slope
-that would cost an exp or a sqrt again (sigmoid, exp, sqrt, softplus), a
-mask or argmax the size of the output, and the scan's chunk-boundary
-states.
+sampler's padded map and corner weights) with the same numpy calls in the
+same order, so gradients are the same bits as if it had been kept.  The
+exceptions keep one array that costs more to rebuild than to hold: a conv's
+padded input (its phase maps, which every tap reads) and tap-major weights,
+an output or slope that would cost an exp or a sqrt again (sigmoid, exp,
+sqrt, softplus), a mask or argmax the size of the output, and the scan's
+chunk-boundary states.
 """
 
 from __future__ import annotations
@@ -547,15 +549,6 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _shifted(a: np.ndarray, ky: int, kx: int, Ho: int, Wo: int, stride: int) -> np.ndarray:
-    """View of the [..., Ho, Wo] input window that kernel tap (ky, kx) reads."""
-    return a[..., ky:ky + Ho * stride:stride, kx:kx + Wo * stride:stride]
-
-
-def _crop(a: np.ndarray, pad: int) -> np.ndarray:
-    return a[..., pad:-pad, pad:-pad] if pad else a
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
            stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with zero padding, one kernel tap at a time.
@@ -563,16 +556,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     weight is [Cout,C,K,K], or [C,K,K] for a depthwise conv: one K x K
     filter per input channel, so Cout = C.  bias is [Cout] or None.
 
-    The taps run channel-major: tap (ky, kx) adds ``W[:,:,ky,kx] . view`` to
-    a [Cout,B,Ho,Wo] sum, where the view is the tap's shifted [C,B,Ho,Wo]
-    window of the padded input (an unpadded one is read in place); a
-    depthwise tap scales each channel of the view by its own weight.  The
-    backward forms ``gW[:,:,ky,kx]`` from the same view and adds
-    ``W_tap^T . g`` into the shifted view of the input gradient.  A tap
-    whose window lies wholly in the zero padding (on a map smaller than the
-    kernel window) adds only zeros, so it is skipped and its ``gW`` stays zero.
-    An all-zero ``gy`` (a head branch with no positives) gives no gradient to
-    any input, so the sweep skips the rest of that branch.
+    The taps run channel-major on flat maps.  The padded input is held as
+    s x s phase maps (s the stride, so one map at stride 1): phase (a, b)
+    holds padded rows a, a+s, ... and columns b, b+s, ... as a [C, B*Hq*Wq]
+    grid, Hq = ceil((H+2p)/s), plus a zero tail.  Tap (ky, kx) then reads the
+    contiguous columns o .. o+B*Hq*Wq of phase (ky%s, kx%s), o = (ky//s)*Wq
+    + kx//s, and adds ``W[:,:,ky,kx] . cols`` to a [Cout, B*Hq*Wq] sum; a
+    depthwise tap scales each row instead.  The output is that sum on the
+    [B,Hq,Wq] grid cropped to [Ho,Wo] once; the cells cropped away read
+    across rows and are never used.  A 1x1 conv at stride 1 and padding 0
+    reads its input in place.
+
+    The backward zero-extends gy to the same grid, forms ``gW[:,:,ky,kx]``
+    from the same columns, and adds ``W_tap^T . g`` into the same columns of
+    a gradient buffer.  A tap whose window lies wholly in the zero padding
+    (on a map smaller than the kernel window) adds only zeros, so it is
+    skipped and its ``gW`` stays zero.  An all-zero ``gy`` (a head branch
+    with no positives) gives no gradient to any input, so the sweep skips
+    the rest of that branch.
     """
     depthwise = weight.ndim == 3
     if x.ndim != 4 or weight.ndim not in (3, 4):
@@ -593,52 +594,109 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         raise ConfigError(
             f"conv2d output would be empty for input {x.shape}, kernel {K}, "
             f"stride {stride}, padding {padding}")
-    xc = x.data.transpose(1, 0, 2, 3)
-    if padding:
-        xc = np.pad(xc, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    s = stride
+    in_place = K == 1 and s == 1 and padding == 0
+    if in_place:
+        Hq, Wq, tail = H, W, 0
+    else:
+        Hq, Wq = -(-(H + 2 * padding) // s), -(-(W + 2 * padding) // s)
+        tail = (K - 1) // s * (Wq + 1)
+    n = B * Hq * Wq
+
+    def phase_maps(xd: np.ndarray) -> np.ndarray:
+        xc = xd.transpose(1, 0, 2, 3)
+        return xc if in_place else _phase_maps(xc, s, padding, Hq, Wq, tail)
+
+    def tap_cols(buf: np.ndarray, ky: int, kx: int) -> np.ndarray:
+        """The [C, B*Hq*Wq] columns of buf that tap (ky, kx) reads."""
+        if in_place:
+            return buf.reshape(C, n)
+        o = (ky // s) * Wq + kx // s
+        return buf[ky % s, kx % s, :, o:o + n]
+
     taps = _live_taps(K, stride, padding, H, W)
     # [K,K,Cout,Cin]: each tap's matrix is contiguous, as BLAS needs
     wt = np.ascontiguousarray(w4.transpose(2, 3, 0, 1))
-    y = np.zeros((Cout, B, Ho, Wo), dtype=np.result_type(xc, wt))
+    src = phase_maps(x.data)
+    y = np.zeros((Cout, n), dtype=np.result_type(src, wt))
     for ky, kx in taps:
-        _tap_mac(y, wt[ky, kx], _shifted(xc, ky, kx, Ho, Wo, stride))
+        _tap_mac(y, wt[ky, kx], tap_cols(src, ky, kx))
+    y = y.reshape(Cout, B, Hq, Wq)[:, :, :Ho, :Wo]
     if bias is not None:
         y += bias.data.reshape(Cout, 1, 1, 1)
     # [B,C,H,W] in memory too: the layers after a conv, and the scan backward
     # that its input gradient feeds, run slower on a strided map
     out = Tensor(np.ascontiguousarray(y.transpose(1, 0, 2, 3)))
     need_gx = x.requires_grad   # False where x derives from the images alone
+    # a padded conv holds its phase maps; an unpadded one (a patchify or 1x1
+    # conv) holds its input, often the images, which are kept anyway, and
+    # rebuilds them in the backward
+    held = src if padding else x.data
 
     no_grads = (None, None) if bias is None else (None, None, None)
 
     def bw(gy):
         if not gy.any():
             return no_grads
-        g = np.ascontiguousarray(gy.transpose(1, 0, 2, 3))
-        gflat = g.reshape(Cout, -1)
+        g = np.empty((Cout, B, Hq, Wq), dtype=gy.dtype)
+        g[:, :, :Ho, :Wo] = gy.transpose(1, 0, 2, 3)
+        g[:, :, Ho:] = 0
+        g[:, :, :Ho, Wo:] = 0
+        g = g.reshape(Cout, n)
         gwt = np.zeros(wt.shape, dtype=gy.dtype)
-        gxc = np.zeros(xc.shape, dtype=gy.dtype) if need_gx else None
+        src = held if padding else phase_maps(held)
+        gbuf = np.zeros((s, s, C, n + tail), dtype=gy.dtype) if need_gx else None
         for ky, kx in taps:
-            xs = _shifted(xc, ky, kx, Ho, Wo, stride)
+            xs = tap_cols(src, ky, kx)
             if depthwise:   # a dot per channel
-                gwt[ky, kx, :, 0] = np.einsum("cbhw,cbhw->c", g, xs)
-            elif Cout == 1:   # a dot per input channel, on the view in place
-                gwt[ky, kx, 0] = np.einsum("bhw,cbhw->c", g[0], xs)
+                gwt[ky, kx, :, 0] = np.einsum("cn,cn->c", g, xs)
             else:
-                gwt[ky, kx] = gflat @ xs.reshape(C, -1).T
+                gwt[ky, kx] = g @ xs.T
             if need_gx:
                 w_tap = wt[ky, kx] if depthwise else wt[ky, kx].T
-                _tap_mac(_shifted(gxc, ky, kx, Ho, Wo, stride), w_tap, g)
-        gx = (None if gxc is None else
-              np.ascontiguousarray(_crop(gxc, padding).transpose(1, 0, 2, 3)))
+                _tap_mac(tap_cols(gbuf, ky, kx), w_tap, g)
+        gx = None
+        if need_gx:
+            gx = np.empty((B, C, H, W), dtype=gy.dtype)
+            grid = gbuf[..., :n].reshape(s, s, C, B, Hq, Wq)
+            for a, b, xin, gq in _phases(H, W, s, padding):
+                gx.transpose(1, 0, 2, 3)[(..., *xin)] = grid[(a, b, ..., *gq)]
         # C-ordered like the weight, so the optimizer reads both in memory order
         gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1)).reshape(weight.shape)
         if bias is not None:
-            return (gx, gw, gflat.sum(axis=1))
+            return (gx, gw, g.sum(axis=1))
         return (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _record(out, parents, bw)
+
+
+def _phases(H: int, W: int, stride: int, padding: int):
+    """For each phase (a, b) of an HxW map padded by ``padding``: the input
+    cells it holds, as (rows, cols) slices of the map, and the (rows, cols)
+    slices of its [Hq, Wq] grid where they sit."""
+    def axis(size):
+        for a in range(stride):
+            first = (a - padding) % stride
+            at = (first + padding) // stride
+            yield slice(first, size, stride), slice(at, at + len(range(first, size, stride)))
+
+    for a, (ri, gi) in enumerate(axis(H)):
+        for b, (rj, gj) in enumerate(axis(W)):
+            yield a, b, (ri, rj), (gi, gj)
+
+
+def _phase_maps(xc: np.ndarray, stride: int, padding: int, Hq: int, Wq: int,
+                tail: int) -> np.ndarray:
+    """xc:[C,B,H,W] zero-padded and split into [s, s, C, B*Hq*Wq + tail]
+    phase maps (``conv2d``)."""
+    C, B, H, W = xc.shape
+    s = stride
+    buf = np.zeros((s, s, C, B * Hq * Wq + tail), dtype=xc.dtype)
+    grid = buf[..., :B * Hq * Wq].reshape(s, s, C, B, Hq, Wq)
+    for a, b, xin, gq in _phases(H, W, s, padding):
+        grid[(a, b, ..., *gq)] = xc[(..., *xin)]
+    return buf
 
 
 @functools.lru_cache(maxsize=256)
@@ -656,15 +714,14 @@ def _live_taps(K: int, stride: int, padding: int, H: int, W: int) -> tuple:
 
 
 def _tap_mac(acc: np.ndarray, w: np.ndarray, xs: np.ndarray) -> None:
-    """acc[M,B,Ho,Wo] += w[M,C] . xs[C,B,Ho,Wo] with the batch folded into
-    the GEMM's columns.  A GEMM with an inner dimension of 1 is slow, so
-    one input channel is a rank-1 update instead; a [M,1] weight on an
-    [M,B,Ho,Wo] view (a depthwise tap) scales each channel of it."""
-    C = w.shape[1]
-    if C == 1:
-        acc += w[:, :, None, None] * np.ascontiguousarray(xs)
+    """acc[M,n] += w[M,C] . xs[C,n], the batch folded into the GEMM's
+    columns.  A GEMM with an inner dimension of 1 is slow, so a [M,1] weight
+    is an elementwise product: a rank-1 update when xs has one row (one
+    input channel), a per-row scale when it has M (a depthwise tap)."""
+    if w.shape[1] == 1:
+        acc += w * xs
     else:
-        acc += (w @ xs.reshape(C, -1)).reshape(acc.shape)
+        acc += w @ xs
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

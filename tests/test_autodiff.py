@@ -60,6 +60,9 @@ def naive_conv2d(x, w, b, stride, padding):
     pytest.param(1, 3, 1, True, 2, 7, (7, 6), id="7x7-cout1"),
     pytest.param(1, 1, 4, True, 3, 3, (1, 1), id="dead-taps-1x1-map"),
     pytest.param(2, 1, 4, True, 3, 3, (2, 2), id="dead-taps-2x2-map-stride2"),
+    pytest.param(3, 1, 4, True, 3, 3, (7, 6), id="3x3-stride3"),
+    pytest.param(2, 0, 4, True, 3, 1, (7, 6), id="1x1-stride2"),
+    pytest.param(2, 1, 4, True, 3, 4, (7, 6), id="4x4-stride2"),
 ])
 def test_conv2d_matches_naive_loop(stride, padding, cout, bias, cin, kernel, hw):
     r = rng(1)
@@ -439,6 +442,9 @@ def test_grad_matmul_linear():
     pytest.param(1, 1, 3, 2, 7, (7, 6), id="7x7-cout1"),
     pytest.param(3, 1, 1, 2, 3, (1, 1), id="dead-taps-1x1-map"),
     pytest.param(3, 2, 1, 2, 3, (2, 2), id="dead-taps-2x2-map-stride2"),
+    pytest.param(3, 3, 1, 2, 3, (7, 6), id="3x3-stride3"),
+    pytest.param(3, 2, 0, 2, 1, (7, 6), id="1x1-stride2"),
+    pytest.param(3, 2, 1, 2, 4, (7, 6), id="4x4-stride2"),
 ])
 def test_grad_conv2d(cout, stride, padding, cin, kernel, hw):
     with precision("f64"):
@@ -640,6 +646,34 @@ def test_recorded_unpadded_conv_holds_nothing_beyond_its_output():
     w = Tensor(r.normal(size=(24, 16, 1, 1)).astype(np.float32), requires_grad=True)
     assert held_beyond_output(lambda x, w: ad.conv2d(x, w, None), x, w) < 4096
 
+
+
+def test_recorded_patchify_conv_holds_no_copy_of_its_input():
+    # an unpadded strided conv keeps its input (here the images, which are
+    # kept anyway) and rebuilds its phase maps in the backward: it holds its
+    # tap-major weights and closures, not a 1.5 MB phase copy of the input
+    r = rng(36)
+    x = Tensor(r.normal(size=(8, 3, 128, 128)).astype(np.float32))
+    w = Tensor(r.normal(size=(8, 3, 4, 4)).astype(np.float32), requires_grad=True)
+    assert held_beyond_output(lambda x, w: ad.conv2d(x, w, None, 4, 0), x, w) < 2**14
+
+
+# the MDTMB token convs and the 2->1 attention conv
+@pytest.mark.parametrize("cout,cin,kernel,stride,padding", [
+    pytest.param(24, 16, 3, 1, 1, id="3x3"),
+    pytest.param(24, 16, 3, 2, 1, id="3x3-stride2"),
+    pytest.param(1, 2, 7, 1, 3, id="7x7-cout1"),
+])
+def test_recorded_padded_conv_holds_one_padded_input(cout, cin, kernel, stride, padding):
+    # one zero-bordered copy of the input, split into stride x stride phase
+    # maps with a short tail, plus the tap-major weights
+    r = rng(35)
+    x = Tensor(r.normal(size=(8, cin, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(r.normal(size=(cout, cin, kernel, kernel)).astype(np.float32),
+               requires_grad=True)
+    padded = 8 * cin * (32 + 2 * padding) ** 2 * 4
+    held = held_beyond_output(lambda x, w: ad.conv2d(x, w, None, stride, padding), x, w)
+    assert held < 1.1 * padded
 
 
 def test_recorded_padded_conv_frees_its_unpadded_input():
