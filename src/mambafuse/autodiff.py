@@ -524,8 +524,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if not bd.flags.c_contiguous:
             # laid out like b: the gradient of a transposed weight (``linear``)
             # then reaches the optimizer C-ordered
-            gb, g = np.empty_like(bd, dtype=gb.dtype), gb
-            gb[...] = g
+            laid_out = np.empty_like(bd, dtype=gb.dtype)
+            laid_out[...] = gb
+            gb = laid_out
         return (_unbroadcast(ga, ad.shape), gb)
 
     return _record(out, (a, b), bw)
@@ -628,9 +629,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     # that its input gradient feeds, run slower on a strided map
     out = Tensor(np.ascontiguousarray(y.transpose(1, 0, 2, 3)))
     need_gx = x.requires_grad   # False where x derives from the images alone
-    # a padded conv holds its phase maps; an unpadded one (a patchify or 1x1
-    # conv) holds its input, often the images, which are kept anyway, and
-    # rebuilds them in the backward
+    # a padded conv holds its phase maps; an unpadded one (1x1 or patchify)
+    # holds its input, which its other readers keep too (the patchify convs
+    # share theirs with the sampler), and rebuilds them in the backward
     held = src if padding else x.data
 
     no_grads = (None, None) if bias is None else (None, None, None)
@@ -811,7 +812,7 @@ def _bilinear_corners(ys: np.ndarray, xs: np.ndarray, H: int, W: int):
     that order a NaN coordinate, whose cast is undefined, still reads the
     border, and its NaN weight makes the sample NaN.
     """
-    B = ys.shape[0]
+    B, T = ys.shape[:2]
     y = ys.transpose(1, 0, 2, 3).reshape(-1)
     xx = xs.transpose(1, 0, 2, 3).reshape(-1)
     y0 = np.floor(y)
@@ -822,7 +823,6 @@ def _bilinear_corners(ys: np.ndarray, xs: np.ndarray, H: int, W: int):
     y0i = np.clip(y0.astype(np.int64), -2, H)
     x0i = np.clip(x0.astype(np.int64), -2, W)
     # each tap's run of B*Ho*Wo points starts at batch plane 0
-    T = ys.shape[1]
     plane = np.repeat(np.arange(B, dtype=np.int64) * ((H + 4) * Wp), y.size // (B * T))
     base = (((y0i + 2) * Wp + (x0i + 2)).reshape(T, -1) + plane).reshape(-1)
     for dy in (0, 1):

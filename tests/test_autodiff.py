@@ -649,9 +649,9 @@ def test_recorded_unpadded_conv_holds_nothing_beyond_its_output():
 
 
 def test_recorded_patchify_conv_holds_no_copy_of_its_input():
-    # an unpadded strided conv keeps its input (here the images, which are
-    # kept anyway) and rebuilds its phase maps in the backward: it holds its
-    # tap-major weights and closures, not a 1.5 MB phase copy of the input
+    # an unpadded strided conv keeps its input, not a copy, and rebuilds its
+    # phase maps in the backward: it holds its tap-major weights and
+    # closures, not a 1.5 MB phase copy of the input
     r = rng(36)
     x = Tensor(r.normal(size=(8, 3, 128, 128)).astype(np.float32))
     w = Tensor(r.normal(size=(8, 3, 4, 4)).astype(np.float32), requires_grad=True)
