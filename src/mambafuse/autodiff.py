@@ -57,13 +57,6 @@ class NumericError(ArithmeticError):
 _dtype = np.float32
 
 
-def set_default_dtype(dtype) -> None:
-    global _dtype
-    if dtype not in (np.float32, np.float64):
-        raise UsageError(f"unsupported dtype {dtype!r}")
-    _dtype = dtype
-
-
 @contextlib.contextmanager
 def precision(mode: str):
     """Temporarily switch the default dtype; mode is 'f32' or 'f64'."""
@@ -371,7 +364,10 @@ def flip(a: Tensor, axis: int) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along an existing axis; one tensor is returned as is."""
     tensors = list(tensors)
+    if len(tensors) == 1:
+        return tensors[0]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
@@ -381,11 +377,13 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _record(out, tensors, bw)
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Join equal-shaped tensors along a new leading axis."""
+def stack(tensors: Sequence[Tensor], shape: Optional[tuple] = None) -> Tensor:
+    """Join equal-shaped tensors along a new leading axis; with ``shape``,
+    the result is reshaped to it in the same node."""
     tensors = list(tensors)
-    out = Tensor(np.stack([t.data for t in tensors]))
-    return _record(out, tensors, lambda gy: tuple(gy))
+    joined = np.stack([t.data for t in tensors])
+    out = Tensor(joined if shape is None else joined.reshape(shape))
+    return _record(out, tensors, lambda gy: tuple(gy.reshape(joined.shape)))
 
 
 def getitem(a: Tensor, idx) -> Tensor:

@@ -73,7 +73,7 @@ def check_grad_four_way_scan():
                               p.dt_proj.bias)]
 
         def f(*_):
-            return ad.sum_all(ad.sigmoid(four_way_scan(x, params, src)))
+            return ad.sum_all(ad.sigmoid(four_way_scan([x], [params], [src])[0]))
 
         err = grad_check(f, leaves, h=1e-4)
         assert err < 1e-5, f"four-way scan grad error {err:.2e}"
@@ -174,7 +174,8 @@ def check_four_way_oracle():
     for H, W in ((3, 4), (10, 13)):
         x = rng.normal(size=(2, 3, H, W)).astype(np.float32)
         for src in (None, rng.normal(size=(2, 3, H, W)).astype(np.float32)):
-            y = four_way_scan(Tensor(x), params, None if src is None else Tensor(src)).data
+            y = four_way_scan([Tensor(x)], [params],
+                              None if src is None else [Tensor(src)])[0].data
             ref = four_way_reference(x, params, src)
             rel = np.abs(y - ref).max() / max(np.abs(ref).max(), 1e-8)
             form = "plain" if src is None else "fusion"

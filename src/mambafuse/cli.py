@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checkpoint
-from .autodiff import ConfigError, UsageError, set_default_dtype
+from .autodiff import ConfigError, UsageError, precision
 from .checkpoint import CheckpointError
 from .checks import run_checks
 from .config import SEED_MAX, ModelConfig, TrainConfig, load_config
@@ -211,10 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.f64:
-        set_default_dtype(np.float64)
     try:
-        return args.fn(args)
+        with precision("f64") if args.f64 else contextlib.nullcontext():
+            return args.fn(args)
     except (ConfigError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import ConfigError, Tensor
 from .config import ModelConfig
 from .nn import Conv2d, Module
-from .ssm import MambaBlock
+from .ssm import MambaBlock, mamba_blocks
 
 # Largest distance bin of the box head: each side's distance is a softmax
 # over bins 0..REG_MAX, in units of the level's stride.
@@ -56,7 +56,8 @@ LEVEL_RANGES = (0.1, 0.25)
 
 class SPPFMamba(Module):
     """Spatial pyramid pooling where each cascaded pool output passes
-    through its own scan block before concatenation."""
+    through its own scan block before concatenation; the three blocks share
+    one four-way scan."""
 
     def __init__(self, rng, channels: int, d_state: int, expand: int):
         super().__init__()
@@ -74,7 +75,8 @@ class SPPFMamba(Module):
         p1 = ad.max_pool2d(y0, 5, 1, 2)
         p2 = ad.max_pool2d(p1, 5, 1, 2)
         p3 = ad.max_pool2d(p2, 5, 1, 2)
-        cat = ad.concat([y0, self.m1(p1), self.m2(p2), self.m3(p3)], axis=1)
+        cat = ad.concat([y0] + mamba_blocks([self.m1, self.m2, self.m3], [p1, p2, p3]),
+                        axis=1)
         return self.cv2(cat)
 
 

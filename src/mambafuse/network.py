@@ -9,7 +9,7 @@ from .attention import (ChannelAttention, SpatialAttention, cross_channel_fuse,
 from .config import ModelConfig
 from .deformable import DeformableToken
 from .nn import Module
-from .ssm import FusionMambaBlock, MambaBlock
+from .ssm import FusionMambaBlock, MambaBlock, fusion_blocks, mamba_blocks
 
 
 class DTMB(DeformableToken):
@@ -21,11 +21,14 @@ class DTMB(DeformableToken):
         super().__init__(rng, cin, cout, kernel, stride, padding)
         self.mamba = MambaBlock(rng, cout, d_state=d_state, expand=expand)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def tokens(self, x: Tensor) -> Tensor:
         if x.shape[2] % self.stride or x.shape[3] % self.stride:
             raise ConfigError(
                 f"spatial dims {x.shape[2:]} not divisible by stride {self.stride}")
-        return self.mamba(super().__call__(x))
+        return super().__call__(x)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.mamba(self.tokens(x))
 
 
 class AttentionPack(Module):
@@ -54,7 +57,9 @@ class _Branch(Module):
 
 class FFAR(Module):
     """Cross-enhanced spatial attention -> per-modality DTMB -> two fusion
-    scan blocks -> channel attention -> cross-channel fusion."""
+    scan blocks -> channel attention -> cross-channel fusion.  The two
+    modalities' scan blocks run as pairs: one four-way scan for both DTMB
+    blocks, and one for both fusion blocks."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -74,10 +79,11 @@ class FFAR(Module):
                 f"expected 3-channel rgb and 1-channel ir, got {rgb.shape}/{ir.shape}")
         rgb_cs, ir_cs = cross_enhanced_spatial(
             rgb, ir, self.attn.rgb_spatial, self.attn.ir_spatial)
-        f_rgb = self.rgb.dtmb(rgb_cs)
-        f_ir = self.ir.dtmb(ir_cs)
-        f_rgb_fm = self.fusion_mamba.rgb(f_rgb, f_ir)
-        f_ir_fm = self.fusion_mamba.ir(f_ir, f_rgb)
+        f_rgb, f_ir = mamba_blocks(
+            [self.rgb.dtmb.mamba, self.ir.dtmb.mamba],
+            [self.rgb.dtmb.tokens(rgb_cs), self.ir.dtmb.tokens(ir_cs)])
+        f_rgb_fm, f_ir_fm = fusion_blocks(
+            [self.fusion_mamba.rgb, self.fusion_mamba.ir], [f_rgb, f_ir], [f_ir, f_rgb])
         w_rgb = self.attn.rgb_channel(f_rgb_fm)
         w_ir = self.attn.ir_channel(f_ir_fm)
         return cross_channel_fuse(f_rgb_fm, f_ir_fm, w_rgb, w_ir)

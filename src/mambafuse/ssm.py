@@ -28,6 +28,12 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
     [G,B,L,N], A [G,D,N] and D_skip [G,D] at index g.  Every operand and
     the output are indexed by token, not by step.
 
+    A block axis before D, A [G,P,D,N] and D_skip [G,P,D] (or [P,D,N] and
+    [P,D] without ``order``), runs P independent blocks of scans in one
+    call: the batch rows split into P equal blocks, and block p's rows read
+    A[:, p] and D_skip[:, p].  Every row is computed as in a call of its
+    block alone, so the bits do not depend on P.
+
         h_t = exp(delta_t * A) * h_{t-1} + (delta_t * B_t) * u_t
         y_t = sum_n C_t * h_t + D_skip * u_t,   h_0 = 0
 
@@ -46,14 +52,19 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
     lead = () if order is None else (len(order),)
     order = np.arange(L)[None] if order is None else np.asarray(order)
     G, N = len(order), A.shape[-1]
+    blocks = A.shape[len(lead):-2]                                         # () or (P,)
     if (delta.shape != lead + (B, L, D) or Bc.shape != lead + (B, L, N)
-            or Cc.shape != Bc.shape or A.shape != lead + (D, N)
-            or D_skip.shape != lead + (D,)):
+            or Cc.shape != Bc.shape or A.shape != lead + blocks + (D, N)
+            or len(blocks) > 1 or D_skip.shape != lead + blocks + (D,)):
         raise ConfigError(f"scan operand shapes disagree: u {u.shape}, delta "
                           f"{delta.shape}, A {A.shape}, B {Bc.shape}, C {Cc.shape}, "
                           f"D {D_skip.shape}")
     if order.shape != (G, L) or not (np.sort(order, axis=1) == np.arange(L)).all():
         raise ConfigError(f"scan order rows must be permutations of range({L})")
+    P = blocks[0] if blocks else 1
+    if P < 1 or B % P:
+        raise ConfigError(f"a batch of {B} rows does not split into {P} blocks")
+    block_rows = [slice(p * (B // P), (p + 1) * (B // P)) for p in range(P)]
     # 2*ceil(sqrt(L)) rather than ceil(sqrt(L)): level on one thread, with
     # half as many chunks and so half the per-chunk numpy calls
     k = max(1, 2 * math.ceil(math.sqrt(L)))
@@ -61,8 +72,9 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
     chunks = [(t0, steps[t0:t0 + k]) for t0 in range(0, L, k)]
     group = np.arange(G)
     A_b = np.ascontiguousarray(np.broadcast_to(                             # [N,G,B,D]
-        A.data.reshape(G, D, N).transpose(2, 0, 1)[:, :, None], (N, G, B, D)))
-    Dsk = D_skip.data.reshape(G, D).sum(axis=0)
+        A.data.reshape(G, P, D, N).transpose(3, 0, 1, 2)[:, :, :, None],
+        (N, G, P, B // P, D))).reshape(N, G, B, D)
+    Dsk = D_skip.data.reshape(G, P, D).sum(axis=0)                          # [P,D]
 
     def by_token(x, X):  # [G,B,L,X] operand -> [L,G,B,X] view, indexed by token
         return x.reshape(G, B, L, X).transpose(2, 0, 1, 3)
@@ -117,11 +129,14 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
             raise NumericError(f"non-finite scan state at step {t0 + int(bad[0])}")
         bounds[c] = hs[-1]
         ys[rows, group] = np.einsum("lngbd,lngb->lgbd", hs, Ct)
-    out = Tensor(ys.sum(axis=1).transpose(1, 0, 2) + u.data * Dsk)
+    ys = ys.sum(axis=1).transpose(1, 0, 2)
+    for p, br in enumerate(block_rows):
+        ys[br] += u.data[br] * Dsk[p]
+    out = Tensor(ys)
 
     def bw(gy):
         gy_tok = gy.transpose(1, 0, 2)
-        gDsk = np.einsum("bld,bld->d", gy, u.data)
+        gDsk = np.stack([np.einsum("bld,bld->d", gy[br], u.data[br]) for br in block_rows])
         gu_tok = np.empty((L, G, B, D), tmp.dtype)
         gdelta, gBc, gCc = (np.empty(x.shape, tmp.dtype) for x in (delta, Bc, Cc))
         gd_tok, gB_tok, gC_tok = by_token(gdelta, D), by_token(gBc, N), by_token(gCc, N)
@@ -150,10 +165,12 @@ def ssm_scan_core(u: Tensor, delta: Tensor, A: Tensor, Bc: Tensor, Cc: Tensor,
             gd_tok[at] = np.einsum("lngbd,ngbd->lgbd", gh, A_b) + ghB * ut
             gA = gA + np.einsum("lngbd,lgbd->ngbd", gh, dt)
             gu_tok[at] = ghB * dt
-        gA = gA.sum(axis=2).transpose(1, 2, 0)
-        gu = gy * Dsk + gu_tok.sum(axis=1).transpose(1, 0, 2)
+        gA = gA.reshape(N, G, P, B // P, D).sum(axis=3).transpose(1, 2, 3, 0)
+        gu = gu_tok.sum(axis=1).transpose(1, 0, 2)
+        for p, br in enumerate(block_rows):
+            gu[br] += gy[br] * Dsk[p]
         return (gu, gdelta, gA.reshape(A.shape), gBc, gCc,
-                np.tile(gDsk, (G, 1)).reshape(D_skip.shape))
+                np.tile(gDsk, (G, 1, 1)).reshape(D_skip.shape))
 
     return _record(out, (u, delta, A, Bc, Cc, D_skip), bw)
 
@@ -250,39 +267,62 @@ def traversal_orders(H: int, W: int) -> np.ndarray:
     return np.stack([rows, rows[::-1], cols, cols[::-1]])
 
 
-def four_way_scan(feature: Tensor, params: list[SsmParams],
-                  src_feature: Tensor | None = None) -> Tensor:
-    """Scan a [B,C,H,W] map along all four directions and merge by sum.
+def four_way_scan(features: list[Tensor], params: list[list[SsmParams]],
+                  src_features: list[Tensor] | None = None) -> list[Tensor]:
+    """Scan P equal-shaped [B,C,H,W] maps along all four directions, map p
+    with its own four parameter sets ``params[p]``, and merge each map's four
+    scans by sum.
 
-    With ``src_feature`` given, delta/B/C come from that map instead (the
-    two-input fusion form); scanned values stay with feature.  The
-    projections work token by token, so they commute with the traversal:
-    they run once, in row order, over the four parameter sets' weights
-    stacked, and the traversals are the scan core's order table.
+    With ``src_features`` given, delta/B/C of map p come from
+    ``src_features[p]`` instead (the two-input fusion form); scanned values
+    stay with the map.  The projections work token by token, so they commute
+    with the traversal: they run once, in row order, over the parameter
+    sets' weights stacked, and the traversals are the scan core's order
+    table.  The P maps are stacked along the batch axis, so P blocks cost one
+    projection and one scan-core call; each output has the bits of a call on
+    its map alone.
     """
-    if feature.ndim != 4:
-        raise ConfigError(f"four_way_scan needs rank 4, got {feature.shape}")
-    if len(params) != 4:
-        raise ConfigError(f"need 4 parameter sets, got {len(params)}")
-    if src_feature is not None and src_feature.shape != feature.shape:
-        raise ConfigError(f"source map {src_feature.shape} != feature {feature.shape}")
-    B, C, H, W = feature.shape
-    L, r, n = H * W, params[0].dt_rank, params[0].d_state
+    P = len(features)
+    if P == 0 or len(params) != P or (src_features is not None and len(src_features) != P):
+        raise ConfigError(f"need one parameter list (and source map) per map, got "
+                          f"{P} maps and {len(params)} parameter lists")
+    shape = features[0].shape
+    if len(shape) != 4:
+        raise ConfigError(f"four_way_scan needs rank 4, got {shape}")
+    for x in [*features, *(src_features or ())]:
+        if x.shape != shape:
+            raise ConfigError(f"map {x.shape} != map {shape}")
+    if any(len(ps) != 4 for ps in params):
+        raise ConfigError(f"need 4 parameter sets per map, got {[len(ps) for ps in params]}")
+    B, C, H, W = shape
+    L, r, n = H * W, params[0][0].dt_rank, params[0][0].d_state
+    R, PB = r + 2 * n, P * B
+    # numpy's matmul pairs batch row i with weight matrix i, so the
+    # projection weights are stacked once per batch row (a block axis beside
+    # the row axis would make them rank 5); the scan core takes A and D_skip
+    # once per block
+    row_sets = [ps for ps in params for _ in range(B)]                     # [PB][4]
+    rows_by_dir = [ps[g] for g in range(4) for ps in row_sets]             # [4*PB]
+    by_dir = [ps[g] for g in range(4) for ps in params]                    # [4*P]
 
-    def tokens(x):  # [B,C,H,W] -> [B,L,C], row-major
-        return ad.transpose(ad.reshape(x, (B, C, L)), (0, 2, 1))
+    def tokens(maps):  # P maps [B,C,H,W] -> [PB,L,C], row-major
+        return ad.transpose(ad.reshape(ad.concat(maps, axis=0), (PB, C, L)), (0, 2, 1))
 
-    seq = tokens(feature)
-    src = seq if src_feature is None else tokens(src_feature)
-    proj = ad.linear(src, ad.concat([p.x_proj.weight for p in params], axis=0))
-    proj = ad.transpose(ad.reshape(proj, (B, L, 4, r + 2 * n)), (2, 0, 1, 3))  # [4,B,L,R]
-    w_dt = ad.reshape(ad.stack([p.dt_proj.weight for p in params]), (4, 1, C, r))
-    b_dt = ad.reshape(ad.stack([p.dt_proj.bias for p in params]), (4, 1, 1, C))
-    delta = ad.softplus(ad.add(ad.matmul(proj[..., :r], ad.transpose(w_dt, (0, 1, 3, 2))), b_dt))
-    A = ad.neg(ad.exp(ad.stack([p.A_log for p in params])))
-    y = ssm_scan_core(seq, delta, A, proj[..., r:r + n], proj[..., r + n:],
-                      ad.stack([p.D_skip for p in params]), traversal_orders(H, W))
-    return ad.reshape(ad.transpose(y, (0, 2, 1)), (B, C, H, W))
+    seq = tokens(features)
+    src = seq if src_features is None else tokens(src_features)
+    w_x = ad.stack([q.x_proj.weight for ps in row_sets for q in ps], (PB, 4 * R, C))
+    proj = ad.matmul(src, ad.transpose(w_x, (0, 2, 1)))                    # [PB,L,4R]
+    proj = ad.transpose(ad.reshape(proj, (PB, L, 4, R)), (2, 0, 1, 3))     # [4,PB,L,R]
+    w_dt = ad.stack([q.dt_proj.weight for q in rows_by_dir], (4, PB, C, r))
+    b_dt = ad.stack([q.dt_proj.bias for q in rows_by_dir], (4, PB, 1, C))
+    delta = ad.softplus(ad.add(ad.matmul(proj[..., :r], ad.transpose(w_dt, (0, 1, 3, 2))),
+                               b_dt))
+    A = ad.neg(ad.exp(ad.stack([q.A_log for q in by_dir], (4, P, C, n))))
+    D_skip = ad.stack([q.D_skip for q in by_dir], (4, P, C))
+    y = ssm_scan_core(seq, delta, A, proj[..., r:r + n], proj[..., r + n:], D_skip,
+                      traversal_orders(H, W))
+    y = ad.reshape(ad.transpose(y, (0, 2, 1)), (PB, C, H, W))
+    return [y] if P == 1 else [y[p * B:(p + 1) * B] for p in range(P)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +346,7 @@ class MambaBlock(Module):
         self.proj_out = Conv2d(rng, d_inner, channels, 1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.channels:
-            raise ConfigError(f"block expects {self.channels} channels, got {x.shape[1]}")
-        xn = self.norm(x)
-        inner = ad.silu(self.dw(self.proj_in(xn)))
-        scanned = four_way_scan(inner, list(self.scan))
-        gated = ad.mul(scanned, ad.silu(self.gate(xn)))
-        return ad.add(x, self.proj_out(gated))
+        return mamba_blocks([self], [x])[0]
 
 
 class FusionMambaBlock(Module):
@@ -334,13 +368,36 @@ class FusionMambaBlock(Module):
         self.proj_out = Conv2d(rng, d_inner, channels, 1)
 
     def __call__(self, primary: Tensor, auxiliary: Tensor) -> Tensor:
-        if primary.shape != auxiliary.shape:
-            raise ConfigError(
-                f"fusion inputs must share shape: {primary.shape} vs {auxiliary.shape}")
-        pn = self.norm(primary)
-        an = self.aux_norm(auxiliary)
-        p_inner = ad.silu(self.dw(self.proj_in(pn)))
-        a_inner = ad.silu(self.aux_dw(self.aux_proj_in(an)))
-        scanned = four_way_scan(p_inner, list(self.scan), src_feature=a_inner)
-        gated = ad.mul(scanned, ad.silu(self.gate(pn)))
-        return ad.add(primary, self.proj_out(gated))
+        return fusion_blocks([self], [primary], [auxiliary])[0]
+
+
+def _gated_residuals(blocks, xs, xns, scanned):
+    return [ad.add(x, blk.proj_out(ad.mul(s, ad.silu(blk.gate(xn)))))
+            for blk, x, xn, s in zip(blocks, xs, xns, scanned)]
+
+
+def mamba_blocks(blocks: list[MambaBlock], xs: list[Tensor]) -> list[Tensor]:
+    """Run block p on xs[p] for P independent blocks of equal shape, with one
+    four-way scan for all of them; output p has the bits of blocks[p](xs[p])."""
+    for blk, x in zip(blocks, xs):
+        if x.shape[1] != blk.channels:
+            raise ConfigError(f"block expects {blk.channels} channels, got {x.shape[1]}")
+    xns = [blk.norm(x) for blk, x in zip(blocks, xs)]
+    inner = [ad.silu(blk.dw(blk.proj_in(xn))) for blk, xn in zip(blocks, xns)]
+    scanned = four_way_scan(inner, [list(blk.scan) for blk in blocks])
+    return _gated_residuals(blocks, xs, xns, scanned)
+
+
+def fusion_blocks(blocks: list[FusionMambaBlock], primaries: list[Tensor],
+                  auxiliaries: list[Tensor]) -> list[Tensor]:
+    """Run block p on (primaries[p], auxiliaries[p]) for P independent fusion
+    blocks of equal shape, with one four-way scan for all of them."""
+    for pri, aux in zip(primaries, auxiliaries):
+        if pri.shape != aux.shape:
+            raise ConfigError(f"fusion inputs must share shape: {pri.shape} vs {aux.shape}")
+    pns, ans = zip(*[(blk.norm(pri), blk.aux_norm(aux))
+                     for blk, pri, aux in zip(blocks, primaries, auxiliaries)])
+    p_inner = [ad.silu(blk.dw(blk.proj_in(pn))) for blk, pn in zip(blocks, pns)]
+    a_inner = [ad.silu(blk.aux_dw(blk.aux_proj_in(an))) for blk, an in zip(blocks, ans)]
+    scanned = four_way_scan(p_inner, [list(blk.scan) for blk in blocks], a_inner)
+    return _gated_residuals(blocks, primaries, pns, scanned)

@@ -548,6 +548,17 @@ def test_grad_stack():
             return ad.sum_all(ad.mul(s, ad.sigmoid(s)))
 
         assert grad_check(f, [a, b], h=1e-5) < 1e-6
+        # with a shape, the stacked result is reshaped in the same node
+        weights = Tensor(np.arange(18.0).reshape(3, 6) / 18.0)
+        with Tape() as tape:
+            s = ad.stack([a, b, a], (3, 6))
+        assert len(tape) == 1
+        np.testing.assert_array_equal(s.data, np.stack([a.data, b.data, a.data]).reshape(3, 6))
+
+        def g(x, y):
+            return ad.sum_all(ad.mul(ad.stack([x, y, x], (3, 6)), weights))
+
+        assert grad_check(g, [a, b], h=1e-5) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,7 @@ def _tiny_train(tmp_path, tag, steps=3, threads=1):
     return lines, (tmp_path / f"{tag}.ckpt").read_bytes()
 
 
-def test_pinned_step_records_966_tape_nodes(tmp_path):
+def test_pinned_step_records_853_tape_nodes(tmp_path):
     # tape nodes per pinned-recipe step (tiny_config() at seed 0, batch 8 of
     # synth_dataset(0, 8, 128)): the forward plus the loss
     cfg = tiny_config()
@@ -512,7 +512,7 @@ def test_pinned_step_records_966_tape_nodes(tmp_path):
     model = build_detector(cfg, seed=0)
     with Tape() as tape:
         compute_batch_loss(model, rgbs, irs, labels, cfg, TrainConfig())
-    assert len(tape) == 966
+    assert len(tape) == 853
 
 
 def test_pinned_step_gives_box_branches_without_positives_no_gradient(tmp_path):
@@ -788,6 +788,23 @@ def test_cli_synth_exits_2_on_bad_count_or_size(tmp_path, capsys, argv):
     assert code == 2
     assert argv[0] in capsys.readouterr().err.replace("image size", "--size")
     assert not (tmp_path / "data").exists()
+
+
+def test_cli_f64_flag_holds_only_for_its_command(tmp_path, monkeypatch):
+    from mambafuse import cli
+    missing = str(tmp_path / "missing")
+    assert cli.main(["--f64", "eval", "--dets", missing, "--data", missing]) == 3
+    assert Tensor([1.0]).data.dtype == np.float32
+    seen = []
+
+    def failing_eval(args):
+        seen.append(Tensor([1.0]).data.dtype)
+        raise OSError("no detections")
+
+    monkeypatch.setattr(cli, "cmd_eval", failing_eval)
+    assert cli.main(["--f64", "eval", "--dets", missing, "--data", missing]) == 3
+    assert seen == [np.float64]
+    assert Tensor([1.0]).data.dtype == np.float32
 
 
 def test_cli_train_rejects_threads_flag(tmp_path):

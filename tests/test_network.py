@@ -6,6 +6,7 @@ import pytest
 
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import ConfigError, Tensor, no_grad
+from mambafuse.attention import cross_channel_fuse, cross_enhanced_spatial
 from mambafuse.config import ModelConfig, tiny_config
 from mambafuse.deformable import DeformableToken
 from mambafuse.detect import DNM, REG_MAX, DetectHead, SPPFMamba
@@ -66,6 +67,25 @@ def test_ffar_not_symmetric_under_modality_content_swap():
         ab = ffar(rgb_a, ir_b).data
         ba = ffar(rgb_b, ir_a).data
     assert not np.allclose(ab, ba)
+
+
+def sequential_ffar(ffar, rgb, ir):
+    """The FFAR with every scan block run on its own, one after another."""
+    rgb_cs, ir_cs = cross_enhanced_spatial(rgb, ir, ffar.attn.rgb_spatial, ffar.attn.ir_spatial)
+    f_rgb = ffar.rgb.dtmb(rgb_cs)
+    f_ir = ffar.ir.dtmb(ir_cs)
+    f_rgb_fm = ffar.fusion_mamba.rgb(f_rgb, f_ir)
+    f_ir_fm = ffar.fusion_mamba.ir(f_ir, f_rgb)
+    return cross_channel_fuse(f_rgb_fm, f_ir_fm, ffar.attn.rgb_channel(f_rgb_fm),
+                              ffar.attn.ir_channel(f_ir_fm))
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+def test_ffar_paired_scans_equal_sequential_blocks_bitwise(batch):
+    ffar = FFAR(rng(23), tiny_config())
+    rgb, ir = small_pair(rng(24), batch=batch)
+    with no_grad():
+        assert ffar(rgb, ir).data.tobytes() == sequential_ffar(ffar, rgb, ir).data.tobytes()
 
 
 def test_mdtmb_halves_resolution_per_stage():

@@ -9,8 +9,9 @@ import pytest
 from mambafuse import autodiff as ad
 from mambafuse.autodiff import ConfigError, NumericError, Tape, Tensor, grad_check, precision
 from mambafuse.ssm import (DIRECTIONS, FusionMambaBlock, MambaBlock, SsmParams,
-                           four_way_reference, four_way_scan, projection_reference,
-                           scan_reference, ssm_scan_core, traversal_orders)
+                           four_way_reference, four_way_scan, fusion_blocks, mamba_blocks,
+                           projection_reference, scan_reference, ssm_scan_core,
+                           traversal_orders)
 
 
 def rng(salt=0):
@@ -101,6 +102,50 @@ def test_grouped_scan_matches_separate_calls():
     np.testing.assert_allclose(grouped, want, rtol=1e-5, atol=1e-6)
 
 
+def blocked_scan_operands(r, G, P, B, L, D, N, dtype=np.float32):
+    """Operands of P blocks of G ordered scans, B rows per block, with an A
+    and a D_skip per block: delta, Bc, Cc [G,P*B,L,X], A [G,P,D,N]."""
+    (u, delta, _, Bc, Cc, _), order = grouped_scan_operands(r, G, P * B, L, D, N, dtype)
+    A = -np.exp(r.normal(size=(G, P, D, N))).astype(dtype)
+    Dsk = r.normal(size=(G, P, D)).astype(dtype)
+    return (u, delta, A, Bc, Cc, Dsk), order
+
+
+def test_blocked_scan_matches_separate_block_calls_bitwise():
+    # L = 130 ends in a short chunk; block p's rows read A[:, p], D_skip[:, p]
+    P, B = 3, 2
+    operands, order = blocked_scan_operands(rng(22), 2, P, B, 130, 3, 2)
+    u, delta, A, Bc, Cc, Dsk = [Tensor(o, requires_grad=True) for o in operands]
+    gy = rng(23).normal(size=u.shape).astype(np.float32)
+    with Tape() as tape:
+        y = ssm_scan_core(u, delta, A, Bc, Cc, Dsk, order)
+        ad.backward(tape, ad.sum_all(ad.mul(y, Tensor(gy))))
+    blocked = [y.data] + [t.grad for t in (u, delta, A, Bc, Cc, Dsk)]
+    for p in range(P):
+        rows = slice(p * B, (p + 1) * B)
+        ops = [Tensor(o, requires_grad=True) for o in
+               (u.data[rows], delta.data[:, rows], A.data[:, p], Bc.data[:, rows],
+                Cc.data[:, rows], Dsk.data[:, p])]
+        with Tape() as tape:
+            y1 = ssm_scan_core(*ops, order)
+            ad.backward(tape, ad.sum_all(ad.mul(y1, Tensor(gy[rows]))))
+        want = [y1.data] + [t.grad for t in ops]
+        got = [blocked[0][rows], blocked[1][rows], blocked[2][:, rows], blocked[3][:, p],
+               blocked[4][:, rows], blocked[5][:, rows], blocked[6][:, p]]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_scan_rejects_batch_that_does_not_split_into_blocks():
+    (u, delta, A, Bc, Cc, Dsk), order = blocked_scan_operands(rng(24), 2, 2, 1, 4, 2, 2)
+    # three rows for two blocks
+    u = np.concatenate([u, u[:1]])
+    delta, Bc, Cc = (np.concatenate([x, x[:, :1]], axis=1) for x in (delta, Bc, Cc))
+    with pytest.raises(ConfigError, match="does not split into 2 blocks"):
+        ssm_scan_core(Tensor(u), Tensor(delta), Tensor(A), Tensor(Bc), Tensor(Cc),
+                      Tensor(Dsk), order)
+
+
 @pytest.mark.parametrize("order", [[[0, 1, 1]], [[0, 1]], [[0, 1, 2], [2, 1, 0]]])
 def test_scan_rejects_bad_order_table(order):
     # a repeated token, a short row, and a table whose row count does not
@@ -189,6 +234,18 @@ def test_grad_grouped_scan_core_finite_difference():
         assert grad_check(f, [Tensor(o) for o in operands], h=1e-5) < 1e-6
 
 
+def test_grad_blocked_scan_core_finite_difference():
+    # two blocks with their own A and D_skip.  Some A gradients are ~5e-5,
+    # where the central difference's rounding at h = 1e-5 alone reads ~2e-6
+    with precision("f64"):
+        operands, order = blocked_scan_operands(rng(25), 2, 2, 1, 6, 3, 2, np.float64)
+
+        def f(u, delta, A, Bc, Cc, Dsk):
+            return ad.sum_all(ad.sigmoid(ssm_scan_core(u, delta, A, Bc, Cc, Dsk, order)))
+
+        assert grad_check(f, [Tensor(o) for o in operands], h=1e-4) < 1e-6
+
+
 @pytest.mark.parametrize("L", [1, 2, 130])
 def test_grad_scan_core_across_chunk_edges(L):
     # L = 130 runs in chunks of 24 with a short last chunk; a small delta
@@ -223,7 +280,7 @@ def test_grad_selective_scan_through_projections():
                               p.dt_proj.bias)]
 
         def f(*_):
-            return ad.sum_all(ad.sigmoid(four_way_scan(x, params, src)))
+            return ad.sum_all(ad.sigmoid(four_way_scan([x], [params], [src])[0]))
 
         assert grad_check(f, leaves, h=1e-4) < 1e-6
 
@@ -262,7 +319,7 @@ def test_four_way_scan_on_single_site_is_sum_of_single_scans():
     r = rng(8)
     params = [SsmParams(r, d_inner=3, d_state=2) for _ in range(4)]
     x = Tensor(r.normal(size=(2, 3, 1, 1)).astype(np.float32))
-    merged = four_way_scan(x, params).data
+    merged = four_way_scan([x], [params])[0].data
     seq = x.data.reshape(2, 3, 1).transpose(0, 2, 1)
     want = 0
     for p in params:
@@ -280,7 +337,7 @@ def test_four_way_scan_matches_reference_at_chunk_edges(H, W):
     params = [SsmParams(r, d_inner=3, d_state=2) for _ in DIRECTIONS]
     x = r.normal(size=(2, 3, H, W)).astype(np.float32)
     src = r.normal(size=(2, 3, H, W)).astype(np.float32)
-    y = four_way_scan(Tensor(x), params, Tensor(src)).data
+    y = four_way_scan([Tensor(x)], [params], [Tensor(src)])[0].data
     ref = four_way_reference(x, params, src)
     assert np.abs(y - ref).max() / np.abs(ref).max() < 1e-5
 
@@ -291,9 +348,49 @@ def test_four_way_scan_matches_per_direction_reference(fusion):
     params = [SsmParams(r, d_inner=4, d_state=3) for _ in DIRECTIONS]
     x = r.normal(size=(2, 4, 3, 5)).astype(np.float32)
     src = r.normal(size=(2, 4, 3, 5)).astype(np.float32) if fusion else None
-    y = four_way_scan(Tensor(x), params, None if src is None else Tensor(src)).data
+    y = four_way_scan([Tensor(x)], [params], None if src is None else [Tensor(src)])[0].data
     ref = four_way_reference(x, params, src)
     assert np.abs(y - ref).max() / np.abs(ref).max() < 1e-5
+
+
+@pytest.mark.parametrize("fusion", [False, True], ids=["plain", "fusion"])
+def test_multi_map_four_way_scan_equals_separate_calls(fusion):
+    # three maps, each with its own four parameter sets: one call gives the
+    # bits of three one-map calls
+    r = rng(26)
+    params = [[SsmParams(r, d_inner=4, d_state=3) for _ in DIRECTIONS] for _ in range(3)]
+    xs = [r.normal(size=(2, 4, 3, 5)).astype(np.float32) for _ in range(3)]
+    srcs = [r.normal(size=(2, 4, 3, 5)).astype(np.float32) for _ in range(3)] if fusion else None
+    ys = four_way_scan([Tensor(x) for x in xs], params,
+                       None if srcs is None else [Tensor(s) for s in srcs])
+    for p, y in enumerate(ys):
+        src = None if srcs is None else srcs[p]
+        alone = four_way_scan([Tensor(xs[p])], [params[p]],
+                              None if src is None else [Tensor(src)])[0]
+        assert y.data.tobytes() == alone.data.tobytes()
+
+
+def test_multi_map_four_way_scan_matches_reference_in_float64():
+    # each map against the per-direction oracle with its own parameter sets
+    with precision("f64"):
+        r = rng(27)
+        params = [[SsmParams(r, d_inner=3, d_state=2) for _ in DIRECTIONS] for _ in range(2)]
+        xs = [r.normal(size=(2, 3, 4, 3)) for _ in range(2)]
+        srcs = [r.normal(size=(2, 3, 4, 3)) for _ in range(2)]
+        ys = four_way_scan([Tensor(x) for x in xs], params, [Tensor(s) for s in srcs])
+        for y, x, ps, src in zip(ys, xs, params, srcs):
+            np.testing.assert_allclose(y.data, four_way_reference(x, ps, src),
+                                       rtol=1e-10, atol=1e-12)
+
+
+def test_four_way_scan_rejects_maps_of_different_shapes():
+    r = rng(28)
+    params = [[SsmParams(r, d_inner=3, d_state=2) for _ in DIRECTIONS] for _ in range(2)]
+    xs = [Tensor(np.zeros((1, 3, 2, 2))), Tensor(np.zeros((1, 3, 2, 3)))]
+    with pytest.raises(ConfigError):
+        four_way_scan(xs, params)
+    with pytest.raises(ConfigError):
+        four_way_scan(xs[:1], params)
 
 
 @pytest.mark.parametrize("fusion,budget", [(False, 25), (True, 27)], ids=["plain", "fusion"])
@@ -305,7 +402,7 @@ def test_four_way_scan_tape_node_budget(fusion, budget):
     x = Tensor(r.normal(size=(1, 4, 3, 3)), requires_grad=True)
     src = Tensor(r.normal(size=(1, 4, 3, 3)), requires_grad=True) if fusion else None
     with ad.Tape() as tape:
-        four_way_scan(x, params, src)
+        four_way_scan([x], [params], None if src is None else [src])
     assert len(tape) <= budget
 
 
@@ -318,8 +415,8 @@ def test_four_way_scan_mirror_symmetry_on_single_row():
     params = [shared, shared, shared, shared]
     x = Tensor(r.normal(size=(1, 3, 1, 6)).astype(np.float32))
     xf = Tensor(np.flip(x.data, axis=3).copy())
-    y = four_way_scan(x, params).data
-    yf = four_way_scan(xf, params).data
+    y = four_way_scan([x], [params])[0].data
+    yf = four_way_scan([xf], [params])[0].data
     np.testing.assert_allclose(np.flip(yf, axis=3), y, rtol=1e-4, atol=1e-5)
 
 
@@ -364,6 +461,37 @@ def test_fusion_block_output_depends_on_auxiliary():
     a1 = Tensor(r.normal(size=(1, 4, 3, 3)).astype(np.float32))
     a2 = Tensor(r.normal(size=(1, 4, 3, 3)).astype(np.float32))
     assert not np.array_equal(fus(x, a1).data, fus(x, a2).data)
+
+
+def test_paired_blocks_equal_separate_blocks_bitwise():
+    # the forward and every parameter gradient of two blocks run as a pair
+    # equal those of the blocks run one at a time.  No input here has a
+    # gradient; where one does and both blocks of a pair read it (the FFAR's
+    # fusion pair reads each DTMB output twice), its gradient sums the same
+    # contributions in another order, so only its rounding can differ
+    r = rng(29)
+    blocks = [MambaBlock(r, 4, d_state=2) for _ in range(2)]
+    fusions = [FusionMambaBlock(r, 4, d_state=2) for _ in range(2)]
+    xs = [Tensor(r.normal(size=(2, 4, 3, 5)).astype(np.float32)) for _ in range(2)]
+
+    def run(paired):
+        for m in blocks + fusions:
+            for _, p in m.named_parameters():
+                p.grad = None
+        with Tape() as tape:
+            if paired:
+                fs = mamba_blocks(blocks, xs)
+                outs = fusion_blocks(fusions, fs, xs[::-1])
+            else:
+                fs = [blk(x) for blk, x in zip(blocks, xs)]
+                outs = [fus(f, x) for fus, f, x in zip(fusions, fs, xs[::-1])]
+            ad.backward(tape, ad.sum_all(ad.mul(outs[0], outs[1])))
+        grads = [p.grad.copy() for m in blocks + fusions for _, p in m.named_parameters()]
+        return [o.data for o in outs], grads
+
+    (outs_p, grads_p), (outs_s, grads_s) = run(True), run(False)
+    for a, b in zip(outs_p + grads_p, outs_s + grads_s):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_mamba_block_grad_reaches_every_parameter():
