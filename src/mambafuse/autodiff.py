@@ -20,8 +20,9 @@ same order, so gradients are the same bits as if it had been kept.  The
 exceptions keep one array that costs more to rebuild than to hold: a conv's
 padded input (its phase maps, which every tap reads) and tap-major weights,
 an output or slope that would cost an exp or a sqrt again (sigmoid, exp,
-sqrt, softplus), a mask or argmax the size of the output, and the scan's
-chunk-boundary states.
+sqrt, and softplus, which builds its slope only when it records), the
+channel layer norm's [B,1,H,W] inverse std, a mask or argmax the size of
+the output, and the scan's chunk-boundary states.
 """
 
 from __future__ import annotations
@@ -165,8 +166,14 @@ class Tensor:
         return getitem(self, idx)
 
 
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a node: a tape is open, recording
+    is on and some input requires grad."""
+    return bool(_stack) and _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(out: Tensor, parents: Sequence[Tensor], fn: Callable) -> Tensor:
-    if _stack and _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         refs = tuple(p.node if p.node is not None else (p if p.requires_grad else None)
                      for p in parents)
@@ -277,12 +284,33 @@ def _sigmoid_from_z(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
+def _one_plus_exp_neg(x: np.ndarray) -> np.ndarray:
+    """A new array 1 + exp(-x), built in place; exp(-x) may overflow to inf,
+    which a quotient by it turns into the right limit, 0."""
+    d = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(d, out=d)
+    d += 1.0
+    return d
+
+
 def silu(a: Tensor) -> Tensor:
-    out = Tensor(a.data * _sigmoid_np(a.data))
+    # x / (1 + exp(-x)), not x·(1 + tanh(x/2))/2, whose 1 + tanh cancels
+    # for x < -5
+    x = a.data
+    d = _one_plus_exp_neg(x)
+    out = Tensor(np.divide(x, d, out=d))
 
     def bw(gy):
-        s = _sigmoid_np(a.data)
-        return (gy * (s + a.data * s * (1.0 - s)),)
+        # gy·s·(1 + x·(1 - s)) with s = sigmoid(x)
+        s = _one_plus_exp_neg(x)
+        np.reciprocal(s, out=s)
+        g = np.subtract(1.0, s)
+        g *= x
+        g += 1.0
+        g *= s
+        g *= gy
+        return (g,)
 
     return _record(out, (a,), bw)
 
@@ -306,8 +334,16 @@ def sqrt(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|})
-    # the derivative, sigmoid(x), shares exp(-|x|) with the value
     x = a.data
+    if not _recording((a,)):
+        # the same ufuncs in place on one buffer, so the same bits
+        y = np.abs(x)
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        np.log1p(y, out=y)
+        y += np.maximum(x, 0.0)
+        return Tensor(y)
+    # the derivative, sigmoid(x), shares exp(-|x|) with the value
     z = np.exp(-np.abs(x))
     out = Tensor(np.maximum(x, 0.0) + np.log1p(z))
     s = _sigmoid_from_z(x, z)
@@ -845,15 +881,48 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Channelwise layer normalization over axis 1 of a [B,C,H,W] map."""
-    mu = mean_axis(x, axis=1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean_axis(mul(xc, xc), axis=1, keepdims=True)
-    inv = safe_div(Tensor(np.ones((), dtype=x.data.dtype)),
-                   sqrt(add(var, Tensor(eps))), eps=0.0)
-    C = x.shape[1]
-    return add(mul(mul(xc, inv), reshape(gamma, (1, C, 1, 1))),
-               reshape(beta, (1, C, 1, 1)))
+    """Channelwise layer normalization over axis 1 of a [B,C,H,W] map, as one op
+    (Ba et al. 2016).
+
+    With x̂ = (x - mean)·inv, inv = 1/sqrt(var + eps), ĝ = gamma·gy and means
+    over the channels, dx = (ĝ - mean(ĝ) - x̂·mean(ĝ·x̂))·inv; dgamma and
+    dbeta sum gy·x̂ and gy over (0, 2, 3).  The closure keeps the [B,1,H,W]
+    inv and rebuilds x̂ from x.
+    """
+    xd = x.data
+    C = xd.shape[1]
+    g = gamma.data.reshape(1, C, 1, 1)
+
+    def channel_mean(a):
+        m = a.sum(axis=1, keepdims=True)
+        m *= 1.0 / C
+        return m
+
+    xc = xd - channel_mean(xd)
+    inv = channel_mean(xc * xc)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xc *= inv
+    xc *= g
+    xc += beta.data.reshape(1, C, 1, 1)
+    out = Tensor(xc)
+
+    def bw(gy):
+        xh = xd - channel_mean(xd)
+        xh *= inv
+        gyx = gy * xh
+        dgamma = gyx.sum(axis=(0, 2, 3))
+        gh = gy * g
+        gyx *= g   # ĝ·x̂
+        xh *= channel_mean(gyx)
+        gh -= channel_mean(gh)
+        gh -= xh
+        gh *= inv
+        return (gh, dgamma.reshape(gamma.data.shape),
+                gy.sum(axis=(0, 2, 3)).reshape(beta.data.shape))
+
+    return _record(out, (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------

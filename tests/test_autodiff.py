@@ -2,6 +2,7 @@
 gradient checks, and tape semantics."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -393,6 +394,55 @@ def test_softplus_matches_two_exp_formula_bitwise(dtype):
     np.testing.assert_array_equal(t.grad, want_g.astype(dtype))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_unrecorded_matches_recorded_bitwise(dtype):
+    # under no_grad softplus skips its slope and works in place; the value
+    # keeps the recorded op's bits
+    r = rng(16)
+    x = np.concatenate([r.normal(size=200) * 4, r.normal(size=50) * 60,
+                        [0.0, -0.0, 88.0, -88.0, 700.0, -700.0, 1e30, -1e30]])
+    with precision("f64" if dtype == np.float64 else "f32"):
+        t = Tensor(x.astype(dtype), requires_grad=True)
+        with ad.Tape() as tape:
+            recorded = ad.softplus(t)
+        with no_grad():
+            unrecorded = ad.softplus(t)
+    assert len(tape) == 1
+    assert unrecorded.data.dtype == dtype
+    np.testing.assert_array_equal(unrecorded.data, recorded.data)
+
+
+def test_unrecorded_softplus_allocates_one_buffer():
+    # the value is built in place in its output; only max(x, 0) comes on
+    # top. The unused slope, sigmoid(x), would add two more arrays
+    x = rng(17).normal(size=(8, 64, 1024)).astype(np.float32) * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with no_grad():
+            out = ad.softplus(Tensor(x))
+        peak = tracemalloc.get_traced_memory()[1] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 4096
+
+
+def test_silu_matches_float64_over_wide_range():
+    # x / (1 + exp(-x)): exp overflows to inf below about -88 in float32,
+    # which gives -0, with no warning and no NaN
+    x = np.concatenate([np.linspace(-100.0, 100.0, 40001),
+                        [88.0, -88.0, 100.0, -100.0, 0.0, -0.0]]).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = ad.silu(Tensor(x)).data
+    assert y.dtype == np.float32 and np.isfinite(y).all()
+    xd = x.astype(np.float64)
+    want = xd / (1.0 + np.exp(-xd))
+    big = np.abs(want) > 1e-30
+    assert (np.abs(y[big] - want[big]) / np.abs(want[big])).max() <= 1e-6
+    assert (np.abs(y[~big]) <= 1e-30).all()
+
+
 def test_grad_binary_and_broadcast():
     with precision("f64"):
         r = rng(7)
@@ -518,6 +568,57 @@ def test_grad_softmax_layernorm():
             return ad.sum_all(ad.silu(ad.layer_norm_channels(a, g, b)))
 
         assert grad_check(f, [xm, gamma, beta], h=1e-5) < 1e-6
+
+
+def layer_norm_composite(x, gamma, beta, eps=1e-5):
+    """The channel layer norm as 14 recorded primitives: the oracle of the
+    one-op ``ad.layer_norm_channels``."""
+    mu = ad.mean_axis(x, axis=1, keepdims=True)
+    xc = ad.sub(x, mu)
+    var = ad.mean_axis(ad.mul(xc, xc), axis=1, keepdims=True)
+    inv = ad.safe_div(Tensor(np.ones((), dtype=x.data.dtype)),
+                      ad.sqrt(ad.add(var, Tensor(eps))), eps=0.0)
+    C = x.shape[1]
+    return ad.add(ad.mul(ad.mul(xc, inv), ad.reshape(gamma, (1, C, 1, 1))),
+                  ad.reshape(beta, (1, C, 1, 1)))
+
+
+@pytest.mark.parametrize("dtype,rtol,atol", [(np.float64, 1e-12, 1e-12),
+                                             (np.float32, 1e-5, 1e-5)],
+                         ids=["f64", "f32"])
+def test_layer_norm_matches_composite(dtype, rtol, atol):
+    r = rng(14)
+    # a channel offset and scale per pixel, so the mean and variance matter
+    x = (r.normal(size=(2, 5, 3, 4)) * r.uniform(0.5, 3.0, size=(2, 1, 3, 4))
+         + r.normal(size=(2, 1, 3, 4)))
+    gamma, beta, weights = r.normal(size=5), r.normal(size=5), r.normal(size=x.shape)
+    results = []
+    with precision("f64" if dtype == np.float64 else "f32"):
+        for op in (ad.layer_norm_channels, layer_norm_composite):
+            ins = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            with Tape() as tape:
+                y = op(*ins)
+                ad.backward(tape, ad.sum_all(ad.mul(y, Tensor(weights))))
+            results.append((len(tape), y.data, *(t.grad for t in ins)))
+    (n_op, *got), (n_composite, *want) = results
+    assert (n_op, n_composite) == (3, 16)   # the op (or 14), mul and sum_all
+    for g, w in zip(got, want):
+        assert g.dtype == dtype and g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=rtol, atol=atol)
+
+
+def test_grad_layer_norm():
+    with precision("f64"):
+        r = rng(15)
+        x = Tensor(r.normal(size=(2, 4, 3, 3)) * 2.0 + 0.5)
+        gamma = Tensor(r.normal(size=4))
+        beta = Tensor(r.normal(size=4))
+        weights = Tensor(r.normal(size=(2, 4, 3, 3)))
+
+        def f(a, g, b):
+            return ad.sum_all(ad.mul(ad.layer_norm_channels(a, g, b), weights))
+
+        assert grad_check(f, [x, gamma, beta], h=1e-5) < 1e-6
 
 
 def test_grad_concat_getitem_flip():
@@ -647,6 +748,17 @@ def test_recorded_grid_sample_holds_only_its_inputs():
 def test_recorded_silu_holds_nothing_beyond_its_output():
     a = Tensor(rng(32).normal(size=(8, 16, 32, 32)).astype(np.float32), requires_grad=True)
     assert held_beyond_output(ad.silu, a) < 4096
+
+
+def test_recorded_layer_norm_holds_only_its_inverse_std():
+    # the closure keeps the [B,1,H,W] inverse std and rebuilds the
+    # normalised input from x
+    r = rng(38)
+    x = Tensor(r.normal(size=(8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(16, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(16, np.float32), requires_grad=True)
+    held = held_beyond_output(ad.layer_norm_channels, x, gamma, beta)
+    assert held <= 8 * 32 * 32 * 4 + 4096
 
 
 def test_recorded_unpadded_conv_holds_nothing_beyond_its_output():

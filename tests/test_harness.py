@@ -504,7 +504,7 @@ def _tiny_train(tmp_path, tag, steps=3, threads=1):
     return lines, (tmp_path / f"{tag}.ckpt").read_bytes()
 
 
-def test_pinned_step_records_853_tape_nodes(tmp_path):
+def test_pinned_step_records_632_tape_nodes(tmp_path):
     # tape nodes per pinned-recipe step (tiny_config() at seed 0, batch 8 of
     # synth_dataset(0, 8, 128)): the forward plus the loss
     cfg = tiny_config()
@@ -512,7 +512,7 @@ def test_pinned_step_records_853_tape_nodes(tmp_path):
     model = build_detector(cfg, seed=0)
     with Tape() as tape:
         compute_batch_loss(model, rgbs, irs, labels, cfg, TrainConfig())
-    assert len(tape) == 853
+    assert len(tape) == 632
 
 
 def test_pinned_step_gives_box_branches_without_positives_no_gradient(tmp_path):
