@@ -911,11 +911,11 @@ def layer_norm_channels(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     def bw(gy):
         xh = xd - channel_mean(xd)
         xh *= inv
-        gyx = gy * xh
-        dgamma = gyx.sum(axis=(0, 2, 3))
-        gh = gy * g
-        gyx *= g   # ĝ·x̂
-        xh *= channel_mean(gyx)
+        t = gy * xh
+        dgamma = t.sum(axis=(0, 2, 3))
+        t *= g   # ĝ·x̂
+        xh *= channel_mean(t)
+        gh = np.multiply(gy, g, out=t)   # ĝ, in the buffer that is done
         gh -= channel_mean(gh)
         gh -= xh
         gh *= inv

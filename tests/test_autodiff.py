@@ -583,10 +583,10 @@ def layer_norm_composite(x, gamma, beta, eps=1e-5):
                   ad.reshape(beta, (1, C, 1, 1)))
 
 
-@pytest.mark.parametrize("dtype,rtol,atol", [(np.float64, 1e-12, 1e-12),
-                                             (np.float32, 1e-5, 1e-5)],
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
                          ids=["f64", "f32"])
-def test_layer_norm_matches_composite(dtype, rtol, atol):
+def test_layer_norm_matches_composite(dtype, tol):
+    # the value and all three gradients, each relative to its largest entry
     r = rng(14)
     # a channel offset and scale per pixel, so the mean and variance matter
     x = (r.normal(size=(2, 5, 3, 4)) * r.uniform(0.5, 3.0, size=(2, 1, 3, 4))
@@ -604,7 +604,7 @@ def test_layer_norm_matches_composite(dtype, rtol, atol):
     assert (n_op, n_composite) == (3, 16)   # the op (or 14), mul and sum_all
     for g, w in zip(got, want):
         assert g.dtype == dtype and g.shape == w.shape
-        np.testing.assert_allclose(g, w, rtol=rtol, atol=atol)
+        assert np.abs(g - w).max() <= tol * np.abs(w).max()
 
 
 def test_grad_layer_norm():
