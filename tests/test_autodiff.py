@@ -607,20 +607,6 @@ def test_layer_norm_matches_composite(dtype, tol):
         assert np.abs(g - w).max() <= tol * np.abs(w).max()
 
 
-def test_grad_layer_norm():
-    with precision("f64"):
-        r = rng(15)
-        x = Tensor(r.normal(size=(2, 4, 3, 3)) * 2.0 + 0.5)
-        gamma = Tensor(r.normal(size=4))
-        beta = Tensor(r.normal(size=4))
-        weights = Tensor(r.normal(size=(2, 4, 3, 3)))
-
-        def f(a, g, b):
-            return ad.sum_all(ad.mul(ad.layer_norm_channels(a, g, b), weights))
-
-        assert grad_check(f, [x, gamma, beta], h=1e-5) < 1e-6
-
-
 def test_grad_concat_getitem_flip():
     with precision("f64"):
         r = rng(12)
