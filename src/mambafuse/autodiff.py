@@ -281,7 +281,9 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def _sigmoid_from_z(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sigmoid(x) given z = exp(-|x|)."""
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    s = np.where(x >= 0, 1.0, z)
+    s /= 1.0 + z
+    return s
 
 
 def _one_plus_exp_neg(x: np.ndarray) -> np.ndarray:
@@ -333,21 +335,17 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|})
+    # log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), in place on one buffer;
+    # the derivative, sigmoid(x), shares exp(-|x|) with the value and is
+    # built only when the op records
     x = a.data
-    if not _recording((a,)):
-        # the same ufuncs in place on one buffer, so the same bits
-        y = np.abs(x)
-        np.negative(y, out=y)
-        np.exp(y, out=y)
-        np.log1p(y, out=y)
-        y += np.maximum(x, 0.0)
-        return Tensor(y)
-    # the derivative, sigmoid(x), shares exp(-|x|) with the value
-    z = np.exp(-np.abs(x))
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(z))
-    s = _sigmoid_from_z(x, z)
-    return _record(out, (a,), lambda gy: (gy * s,))
+    y = np.abs(x)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    s = _sigmoid_from_z(x, y) if _recording((a,)) else None
+    np.log1p(y, out=y)
+    y += np.maximum(x, 0.0)
+    return _record(Tensor(y), (a,), lambda gy: (gy * s,))
 
 
 def arctan(a: Tensor) -> Tensor:

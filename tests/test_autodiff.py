@@ -396,8 +396,8 @@ def test_softplus_matches_two_exp_formula_bitwise(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softplus_unrecorded_matches_recorded_bitwise(dtype):
-    # under no_grad softplus skips its slope and works in place; the value
-    # keeps the recorded op's bits
+    # under no_grad softplus skips its slope; the value keeps the recorded
+    # op's bits
     r = rng(16)
     x = np.concatenate([r.normal(size=200) * 4, r.normal(size=50) * 60,
                         [0.0, -0.0, 88.0, -88.0, 700.0, -700.0, 1e30, -1e30]])
